@@ -115,7 +115,9 @@ def cmd_stci(args) -> int:
     n = spec.params[0]
     graph = build(spec)
     height = min_vertex_cover_size(graph)
-    assert height == cycle_height(n)
+    if height != cycle_height(n):
+        raise RuntimeError(f"vertex cover of {spec} has size {height}, "
+                           f"but the cycle height is {cycle_height(n)}")
     _emit({"stci": is_stci_cycle(n), "height": height, "ara": pd_cycle(n).value},
           args.format)
     return EXIT_OK

@@ -1,22 +1,27 @@
-"""Edge-complement complexes and exact reduced simplicial homology over GF(p).
+"""Edge-complement and independence complexes, exact reduced simplicial
+homology over GF(p), and graded Betti tables of edge ideals.
 
-For a graph H with edges e_1..e_s on vertex set V, the associated complex has
-one facet V \\ e_i per edge.  Summing the reduced homology of these complexes
-over all induced subgraphs with at least one edge yields the graded Betti
-table of the edge ideal, whose top homological index is the projective
-dimension.
+For a graph H with edges e_1..e_s on vertex set V, the edge-complement
+complex has one facet V \\ e_i per edge.  Its Alexander dual is the
+independence complex Ind(H), whose faces are the independent vertex sets.
+Hochster's formula (Miller-Sturmfels, Combinatorial Commutative Algebra,
+Cor. 5.12) gives the graded Betti numbers of the edge ideal of G as
 
-Homology is computed from boundary-matrix ranks over the chosen prime field
-(Gaussian elimination; bitset arithmetic for GF(2), dense integer arithmetic
-otherwise).  Reduced conventions: the complex {emptyset} has one dimension of
-homology in degree -1; the void complex has none anywhere.
+    beta_{j,d} = sum over d-subsets W of dim H~_{d-j-1}(Ind(G[W])),
+
+so the Betti table, whose top homological index is the projective dimension,
+is computed from the small independence complexes of connected induced
+subgraphs, combined across components by the Kuenneth rule for joins.
+
+Homology is computed from boundary-matrix ranks over the chosen prime field:
+bitset elimination for GF(2), sparse column elimination in exact integer
+arithmetic otherwise.  Reduced conventions: the complex {emptyset} has one
+dimension of homology in degree -1; the void complex has none anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ResourceLimitError
 from .graphs import Graph
@@ -95,70 +100,91 @@ def epsilon_complex(h: Graph) -> SimplicialComplex:
 def _rank_gf2(columns: list[int]) -> int:
     """Rank over GF(2) of a matrix given as column bitmasks."""
     pivots: dict[int, int] = {}
-    rank = 0
     for col in columns:
         while col:
             b = col.bit_length() - 1
-            if b in pivots:
-                col ^= pivots[b]
-            else:
+            if b not in pivots:
                 pivots[b] = col
-                rank += 1
                 break
-    return rank
+            col ^= pivots[b]
+    return len(pivots)
 
 
-def _rank_dense_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by in-place fraction-free row elimination."""
-    a = np.mod(a, p)
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        piv = int(a[r, c])
-        if piv != 1:
-            a[r, c:] = a[r, c:] * pow(piv, p - 2, p) % p
-        below = a[r + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            idx = r + 1 + hit
-            a[idx, c:] = (a[idx, c:] - np.outer(below[hit], a[r, c:])) % p
-        r += 1
-    return r
+def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of a matrix given as sparse columns {row: entry}.
+
+    Each column is reduced against the stored pivot columns, keyed by their
+    largest row, in exact Python integer arithmetic, so any prime is safe.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for entries in columns:
+        col = {r: x % p for r, x in entries.items() if x % p}
+        while col:
+            top = max(col)
+            piv = pivots.get(top)
+            if piv is None:
+                inv = pow(col[top], -1, p)
+                pivots[top] = {r: x * inv % p for r, x in col.items()}
+                break
+            f = col[top]
+            for r, x in piv.items():
+                y = (col.get(r, 0) - f * x) % p
+                if y:
+                    col[r] = y
+                else:
+                    del col[r]
+    return len(pivots)
 
 
 def _boundary_rank(upper: list[int], lower_index: dict[int, int], p: int) -> int:
     """Rank of the boundary map from faces `upper` to the layer one lower."""
     if not upper or not lower_index:
         return 0
+    cols = []
     if p == 2:
-        cols = []
         for face in upper:
-            col = 0
-            m = face
+            col, m = 0, face
             while m:
                 v = m & -m
                 col |= 1 << lower_index[face ^ v]
                 m ^= v
             cols.append(col)
         return _rank_gf2(cols)
-    mat = np.zeros((len(lower_index), len(upper)), dtype=np.int64)
-    for j, face in enumerate(upper):
-        sign = 1
-        m = face
+    for face in upper:
+        col, sign, m = {}, 1, face
         while m:
             v = m & -m
-            mat[lower_index[face ^ v], j] = sign
-            sign = -sign
-            m ^= v
-    return _rank_dense_mod_p(mat, p)
+            col[lower_index[face ^ v]] = sign
+            sign, m = -sign, m ^ v
+        cols.append(col)
+    return _rank_mod_p(cols, p)
+
+
+def _homology_from_faces(faces, p: int) -> dict[int, int]:
+    """Reduced homology dimensions of the complex whose faces (bitmasks,
+    closed under subsets, the empty face included) are given."""
+    layers: dict[int, list[int]] = {}
+    for f in faces:
+        layers.setdefault(f.bit_count(), []).append(f)
+    for layer in layers.values():
+        layer.sort()
+    top = max(layers)
+
+    index = {s: {f: i for i, f in enumerate(layer)} for s, layer in layers.items()}
+    ranks = {s: _boundary_rank(layers[s], index.get(s - 1, {}), p)
+             for s in range(1, top + 1)}
+    ranks[0] = 0
+    ranks[top + 1] = 0
+
+    profile = {}
+    for s in range(0, top + 1):
+        h = len(layers.get(s, ())) - ranks[s] - ranks[s + 1]
+        if h < 0:
+            raise ArithmeticError(
+                f"negative homology dimension {h} in degree {s - 1} over GF({p})")
+        if h:
+            profile[s - 1] = h
+    return profile
 
 
 def _profile_from_facet_masks(facets: list[int], p: int) -> dict[int, int]:
@@ -182,26 +208,7 @@ def _profile_from_facet_masks(facets: list[int], p: int) -> dict[int, int]:
             if sub == 0:
                 break
             sub = (sub - 1) & fm
-
-    layers: dict[int, list[int]] = {}
-    for f in faces:
-        layers.setdefault(f.bit_count(), []).append(f)
-    for layer in layers.values():
-        layer.sort()
-    top = max(layers)
-
-    index = {s: {f: i for i, f in enumerate(layer)} for s, layer in layers.items()}
-    ranks = {s: _boundary_rank(layers[s], index.get(s - 1, {}), p)
-             for s in range(1, top + 1)}
-    ranks[0] = 0
-    ranks[top + 1] = 0
-
-    profile = {}
-    for s in range(0, top + 1):
-        h = len(layers.get(s, ())) - ranks[s] - ranks[s + 1]
-        if h:
-            profile[s - 1] = h
-    return profile
+    return _homology_from_faces(faces, p)
 
 
 def reduced_homology_dims(c: SimplicialComplex, fld) -> dict[int, int]:
@@ -246,71 +253,36 @@ class BettiTable:
                 for (i, d) in sorted(self.entries)]
 
 
-_PROFILE_CACHE: dict[tuple, dict[int, int]] = {}
+def _independence_homology(mask: int, nbr: list[int], p: int) -> dict[int, int]:
+    """Reduced homology of Ind(G[mask]), the complex of independent sets."""
+    faces = [0]
+    m = mask
+    while m:
+        v = (m & -m).bit_length() - 1
+        faces += [f | 1 << v for f in faces if not f & nbr[v]]
+        m &= m - 1
+    return _homology_from_faces(faces, p)
 
 
-def _two_bits(mask: int) -> tuple[int, int]:
-    u = (mask & -mask).bit_length() - 1
-    v = (mask ^ (1 << u)).bit_length() - 1
-    return u, v
-
-
-def _shape_key(vertices: list[int], edges: list[int]):
-    """Canonical key when the induced subgraph is a union of paths and cycles.
-
-    Returns None if some vertex has degree three or more; isomorphic unions of
-    paths/cycles share the key, so their homology profiles can be reused.
-    """
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for em in edges:
-        u, v = _two_bits(em)
-        adj[u].append(v)
-        adj[v].append(u)
-        if len(adj[u]) > 2 or len(adj[v]) > 2:
-            return None
-    paths, cycles = [], []
-    seen = set()
-    for start in vertices:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    frontier.append(y)
-        if all(len(adj[x]) == 2 for x in comp):
-            cycles.append(len(comp))
-        else:
-            paths.append(len(comp))
-    return (tuple(sorted(paths)), tuple(sorted(cycles)))
-
-
-def _subset_profile(mask: int, induced_edges: list[int], p: int) -> dict[int, int]:
-    vertices = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    key = _shape_key(vertices, induced_edges)
-    if key is not None:
-        cached = _PROFILE_CACHE.get((key, p))
-        if cached is not None:
-            return cached
-    facets = [mask & ~em for em in induced_edges]
-    profile = _profile_from_facet_masks(facets, p)
-    if key is not None:
-        _PROFILE_CACHE[(key, p)] = profile
-    return profile
+def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Reduced homology of a join over a field:
+    H~_{i+j+1}(A*B) = sum of H~_i(A) (x) H~_j(B); {-1: 1} is the unit."""
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j + 1] = out.get(i + j + 1, 0) + x * y
+    return out
 
 
 def betti_table(g: Graph, fld) -> BettiTable:
     """Exact graded Betti table of the edge ideal of g over GF(p).
 
-    Every vertex subset whose induced subgraph has an edge contributes the
-    reduced homology of its edge-complement complex, shifted by two, in the
-    degree given by the subset size.  Subsets leaving a vertex isolated are
-    skipped: their complexes are cones, hence contribute nothing.
+    Hochster's formula, read on the Alexander dual of each edge-complement
+    complex (the independence complex): beta_{j,d} is the sum over d-subsets
+    W of dim H~_{d-j-1}(Ind(G[W])).  Subsets leaving a vertex isolated are
+    skipped, as their complexes are cones.  Ind of a disjoint union is the
+    join of the parts' Ind complexes, so only connected induced subgraphs
+    are reduced, each once per call.
     """
     p = _modulus(fld)
     n = g.nvertices
@@ -318,22 +290,36 @@ def betti_table(g: Graph, fld) -> BettiTable:
         raise ResourceLimitError(
             f"Betti table limited to {MAX_BETTI_VERTICES} vertices, got {n}",
             stage="betti_table")
-    edge_masks = [(1 << g.index(u)) | (1 << g.index(v)) for u, v in g.edges]
+    nbr = [0] * n
+    for u, v in g.edges:
+        i, j = g.index(u), g.index(v)
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
 
+    component_homology: dict[int, dict[int, int]] = {}
     entries: dict[tuple[int, int], int] = {}
     for mask in range(1, 1 << n):
-        induced = [em for em in edge_masks if em & mask == em]
-        if not induced:
-            continue
-        covered = 0
-        for em in induced:
-            covered |= em
-        if covered != mask:
-            continue
-        profile = _subset_profile(mask, induced, p)
+        rest = mask
+        while rest and nbr[(rest & -rest).bit_length() - 1] & mask:
+            rest &= rest - 1
+        if rest:
+            continue  # an isolated vertex
+        profile = {-1: 1}
+        rest = mask
+        while rest and profile:
+            comp, frontier = 0, rest & -rest
+            while frontier:
+                v = (frontier & -frontier).bit_length() - 1
+                comp |= 1 << v
+                frontier = (frontier | nbr[v] & mask) & ~comp
+            rest &= ~comp
+            part = component_homology.get(comp)
+            if part is None:
+                part = component_homology[comp] = _independence_homology(comp, nbr, p)
+            profile = _join(profile, part)
         d = mask.bit_count()
-        for j, dim in profile.items():
-            key = (j + 2, d)
+        for k, dim in profile.items():
+            key = (d - k - 1, d)
             entries[key] = entries.get(key, 0) + dim
 
     table = BettiTable(entries)

@@ -5,6 +5,7 @@ own code paths, so a test comparing the two sides is a genuine cross-check.
 """
 
 from itertools import combinations
+from math import comb
 
 
 def convolve(f_terms: dict, g_terms: dict, p: int) -> dict:
@@ -72,3 +73,24 @@ def vertex_cover_bruteforce(labels, edges) -> int:
             if all(u in chosen or v in chosen for u, v in edges):
                 return size
     raise AssertionError("unreachable")
+
+
+def jacques_cycle_betti(n: int) -> dict:
+    """Graded Betti numbers {(i, d): dim} of the edge ideal of the n-cycle,
+    from the closed forms of S. Jacques, Betti numbers of graph ideals
+    (thesis, 2004, arXiv:math/0410107)."""
+    table = {}
+    for d in range(2, n):
+        for i in range((d + 1) // 2, d):
+            b = d - i
+            if n - 2 * b <= 0:
+                continue
+            num = n * comb(b, 2 * i - d) * comb(n - 2 * b, b)
+            if num:
+                assert num % (n - 2 * b) == 0
+                table[(i, d)] = num // (n - 2 * b)
+    # top degree: one entry, set by n mod 3
+    top = {0: (2 * n // 3, 2), 1: ((2 * n + 1) // 3, 1), 2: ((2 * n - 1) // 3, 1)}
+    i, dim = top[n % 3]
+    table[(i, n)] = dim
+    return table

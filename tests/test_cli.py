@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from edgeideal import cli
 from edgeideal.cli import main
 from edgeideal.verify import VerificationReport
 
@@ -38,6 +41,19 @@ def test_stci_cycle6_false(capsys):
 def test_stci_rejects_non_cycles(capsys):
     code, _, err = run(capsys, "stci", "--graph", "line:4")
     assert code == 2 and "cycle" in err
+
+
+def test_stci_height_mismatch_raises(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "min_vertex_cover_size", lambda g: 2)
+    with pytest.raises(RuntimeError, match="cycle height is 3"):
+        run(capsys, "stci", "--graph", "cycle:5")
+
+
+def test_pd_large_prime(capsys):
+    code, out, _ = run(capsys, "pd", "--graph", "cycle:5", "--field", "1099511627791",
+                       "--format", "text")
+    assert code == 0
+    assert "pd_homology: 3" in out.splitlines()
 
 
 def test_sequence_json(capsys):

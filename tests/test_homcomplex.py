@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from edgeideal import homcomplex
 from edgeideal.cli import _matrix_specs
 from edgeideal.errors import ResourceLimitError
 from edgeideal.graphs import build, build_from_string
@@ -14,6 +20,7 @@ from edgeideal.homcomplex import (
 from oracles import profile_euler_sum, reduced_euler_characteristic, shifted_profile
 
 MODULI = (2, 3, 32003)
+LARGE_PRIME = 1099511627791  # about 2^40: a product of two residues overflows int64
 
 
 def fs(*labels):
@@ -73,6 +80,14 @@ def test_three_points(p):
 def test_epsilon_cycle4_is_a_circle(p):
     c = epsilon_complex(build_from_string("cycle:4"))
     assert reduced_homology_dims(c, p) == {1: 1}
+
+
+def test_negative_homology_dimension_raises(monkeypatch):
+    monkeypatch.setattr(homcomplex, "_boundary_rank", lambda upper, lower, p: len(upper) + 1)
+    with pytest.raises(ArithmeticError, match="negative homology dimension"):
+        reduced_homology_dims(epsilon_complex(build_from_string("cycle:4")), 3)
+    with pytest.raises(ArithmeticError, match="negative homology dimension"):
+        betti_table(build_from_string("cycle:4"), 3)
 
 
 def test_vertex_count_limit():
@@ -178,6 +193,12 @@ def test_betti_csv_rows():
     assert t.csv_rows() == ["i,d,dim", "1,2,3", "2,3,2"]
 
 
+@pytest.mark.parametrize("spec", ["cycle:5", "bicyclic:6,8"])
+def test_large_prime_gives_the_gf2_table(spec):
+    g = build_from_string(spec)
+    assert betti_table(g, LARGE_PRIME).entries == betti_table(g, 2).entries
+
+
 def test_characteristic_independence_small_instances():
     specs = list(_matrix_specs(("cycle", "line", "bicyclic", "dumbbell"), 10))
     assert len(specs) > 40
@@ -203,3 +224,11 @@ def test_pd_requires_edges():
 def test_betti_vertex_limit():
     with pytest.raises(ResourceLimitError):
         betti_table(build_from_string("line:21"), 2)
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, edgeideal; print('numpy' in sys.modules)"
+    src = str(Path(homcomplex.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

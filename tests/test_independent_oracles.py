@@ -10,22 +10,35 @@ with them.
   to every facet) shifts reduced homology up by one degree.  The suspended
   complex has no vertex common to all facets, so this exercises the full
   boundary-matrix path.
-* Dense GF(p) rank vs. a dict-based elimination written here from scratch.
+* Sparse GF(p) rank reducer vs. a list-based row reduction written here from
+  scratch.
+* Betti tables (Hochster's formula on independence complexes) vs. the
+  edge-complement route, which sums the reduced homology of the complex of
+  every induced subgraph without an isolated vertex.
+* Betti tables of cycles vs. Jacques' closed forms.
 """
 
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeideal.graphs import build_from_string, ring_of
+from edgeideal.cli import _matrix_specs
+from edgeideal.graphs import Graph, build, build_from_string, induced_subgraph, ring_of
 from edgeideal.groebner import radical_membership
-from edgeideal.homcomplex import SimplicialComplex, _rank_dense_mod_p, reduced_homology_dims
+from edgeideal.homcomplex import (
+    SimplicialComplex,
+    _rank_gf2,
+    _rank_mod_p,
+    betti_table,
+    epsilon_complex,
+    reduced_homology_dims,
+)
 from edgeideal.sequences import cycle_sequence, dumbbell_sequence
 from mutations import all_mutations
+from oracles import jacques_cycle_betti
 
 
 def evaluate(poly, point, p):
@@ -118,11 +131,81 @@ def rank_oracle(matrix, p):
     return rank
 
 
-@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("p", [2, 3, 32003, 1099511627791])
 def test_dense_rank_against_oracle(p):
     rng = random.Random(p)
     for _ in range(25):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
         matrix = [[rng.randint(-1, 1) for _ in range(nc)] for _ in range(nr)]
-        got = _rank_dense_mod_p(np.array(matrix, dtype=np.int64), p)
-        assert got == rank_oracle(matrix, p)
+        want = rank_oracle(matrix, p)
+        columns = [{r: matrix[r][c] for r in range(nr) if matrix[r][c]} for c in range(nc)]
+        assert _rank_mod_p(columns, p) == want
+        if p == 2:
+            assert _rank_gf2([sum(1 << r for r in col) for col in columns]) == want
+
+
+def edge_complement_betti(g, p):
+    """Betti table summed over W of H~(epsilon_complex(G[W])), shifted by two."""
+    table = {}
+    for size in range(2, g.nvertices + 1):
+        for w in itertools.combinations(g.labels, size):
+            h = induced_subgraph(g, w)
+            if any(h.degree(v) == 0 for v in h.labels):
+                continue
+            for k, dim in reduced_homology_dims(epsilon_complex(h), p).items():
+                table[(k + 2, size)] = table.get((k + 2, size), 0) + dim
+    return table
+
+
+def random_graph(rng):
+    """Random graph on at most 8 vertices: half of the draws are one random
+    block, the other half two random blocks with no edge between them."""
+    if rng.random() < 0.5:
+        n = cut = rng.randint(2, 8)
+    else:
+        cut = rng.randint(2, 5)
+        n = cut + rng.randint(2, 3)
+    density = rng.choice([0.4, 0.6, 0.8])
+    edges = tuple((f"v{i}", f"v{j}") for i, j in itertools.combinations(range(n), 2)
+                  if (i < cut) == (j < cut) and rng.random() < density)
+    return Graph(tuple(f"v{i}" for i in range(n)), edges)
+
+
+def components_with_edges(g):
+    seen, count = set(), 0
+    for start in g.labels:
+        if start in seen or g.degree(start) == 0:
+            continue
+        count += 1
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(g.neighbors(v))
+    return count
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_betti_matches_edge_complement_route_on_random_graphs(p):
+    rng = random.Random(f"duality/{p}")
+    joins = 0
+    for _ in range(60):
+        g = random_graph(rng)
+        joins += components_with_edges(g) > 1
+        assert betti_table(g, p).entries == edge_complement_betti(g, p), g.edges
+    assert joins >= 10
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_betti_matches_edge_complement_route_on_families(p):
+    for spec in _matrix_specs(("cycle", "line", "bicyclic", "dumbbell"), 9):
+        g = build(spec)
+        assert betti_table(g, p).entries == edge_complement_betti(g, p), str(spec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_cycle_betti_matches_jacques(p):
+    for n in range(3, 14):
+        assert betti_table(build_from_string(f"cycle:{n}"), p).entries \
+            == jacques_cycle_betti(n), n
