@@ -11,7 +11,7 @@ from .formulas import (
     pd_dumbbell,
     pd_line,
 )
-from .graphs import FamilySpec, Graph, build, build_from_string, parse_spec
+from .graphs import FamilySpec, Graph, build, build_from_string, enumerate_specs, parse_spec
 from .homcomplex import (
     BettiTable,
     SimplicialComplex,
@@ -55,6 +55,7 @@ __all__ = [
     "cycle_sequence",
     "cycle_sv_partition",
     "dumbbell_sequence",
+    "enumerate_specs",
     "epsilon_complex",
     "is_stci_cycle",
     "parse_spec",

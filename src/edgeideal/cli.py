@@ -13,15 +13,16 @@ import json
 import sys
 
 from .errors import ResourceLimitError
-from .formulas import cycle_height, is_stci_cycle, pd_cycle, pd_for_spec, pd_line
+from .formulas import cycle_height, is_stci_cycle, pd_cycle, pd_for_spec
 from .graphs import (
     ConstructionError,
-    FamilySpec,
     SpecParseError,
     build,
+    enumerate_specs,
     min_vertex_cover_size,
     parse_spec,
 )
+from .groebner import spair_budget_default
 from .homcomplex import betti_table, projective_dimension
 from .sequences import sequence_for
 from .verify import DEFAULT_HOMOLOGY_MAX_VERTICES, certify
@@ -48,6 +49,16 @@ def _parse_fields(text: str) -> tuple[int, ...]:
     if not fields:
         raise SpecParseError("empty field list")
     return fields
+
+
+def _spair_budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return budget
 
 
 def cmd_pd(args) -> int:
@@ -123,57 +134,25 @@ def cmd_stci(args) -> int:
     return EXIT_OK
 
 
-def _matrix_specs(families, max_vertices):
-    if "cycle" in families:
-        for n in range(3, max_vertices + 1):
-            yield FamilySpec("cycle", (n,))
-    if "line" in families:
-        for n in range(2, max_vertices + 1):
-            yield FamilySpec("line", (n,))
-    if "bicyclic" in families:
-        for m in range(3, max_vertices + 1):
-            for n in range(m, max_vertices + 1):
-                if m + n - 1 <= max_vertices:
-                    yield FamilySpec("bicyclic", (m, n))
-    if "dumbbell" in families:
-        for m in range(3, max_vertices + 1):
-            for n in range(m, max_vertices + 1):
-                for k in range(0, max_vertices - m - n + 1):
-                    yield FamilySpec("dumbbell", (m, k, n))
-
-
 def cmd_matrix(args) -> int:
-    families = [f.strip() for f in args.families.split(",")]
-    unknown = set(families) - {"cycle", "line", "bicyclic", "dumbbell"}
-    if unknown:
-        raise SpecParseError(f"unknown families {sorted(unknown)}")
+    specs = enumerate_specs([f.strip() for f in args.families.split(",")],
+                            args.max_vertices)
     fields = _parse_fields(args.fields)
+    # read $EDGEIDEAL_SPAIR_BUDGET now, so a bad value fails before any row
+    budget = args.spair_budget if args.spair_budget is not None else spair_budget_default()
 
     any_fail = False
-    for spec in _matrix_specs(families, args.max_vertices):
-        if spec.kind == "line":
-            formula = pd_line(spec.params[0])
-            graph = build(spec)
-            pds = {projective_dimension(graph, p) for p in fields}
-            ok = pds == {formula.value}
-            row = {
-                "graph": str(spec), "case": formula.case_tag,
-                "pd_formula": formula.value,
-                "pd_homology": pds.pop() if len(pds) == 1 else None,
-                "length": None,
-                "verdict": "pass" if ok else "fail",
-            }
-        else:
-            report = certify(spec, fields, spair_budget=args.spair_budget,
-                             homology_max_vertices=args.homology_limit)
-            row = {
-                "graph": report.graph_spec, "case": report.stats["case"],
-                "pd_formula": report.pd_formula,
-                "pd_homology": report.pd_homology,
-                "length": report.sequence_length,
-                "verdict": report.verdict,
-            }
-        any_fail = any_fail or row["verdict"] != "pass"
+    for spec in specs:
+        report = certify(spec, fields, spair_budget=budget,
+                         homology_max_vertices=args.homology_limit)
+        row = {
+            "graph": report.graph_spec, "case": report.stats["case"],
+            "pd_formula": report.pd_formula,
+            "pd_homology": report.pd_homology,
+            "length": report.sequence_length,
+            "verdict": report.verdict,
+        }
+        any_fail = any_fail or not report.passed
         if args.format == "text":
             print("  ".join(f"{k}={v}" for k, v in row.items()))
         else:
@@ -213,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify the sequence against the edge ideal")
     add_common(p, fields_default="2,32003")
-    p.add_argument("--spair-budget", type=int, default=None)
+    p.add_argument("--spair-budget", type=_spair_budget, default=None)
     p.add_argument("--homology-limit", type=int, default=DEFAULT_HOMOLOGY_MAX_VERTICES)
     p.set_defaults(func=cmd_verify)
 
@@ -226,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=9)
     p.add_argument("--fields", default="2,32003")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--spair-budget", type=int, default=None)
+    p.add_argument("--spair-budget", type=_spair_budget, default=None)
     p.add_argument("--homology-limit", type=int, default=DEFAULT_HOMOLOGY_MAX_VERTICES)
     p.set_defaults(func=cmd_matrix)
 

@@ -125,6 +125,31 @@ def parse_spec(text: str) -> FamilySpec:
     return FamilySpec(kind, params)
 
 
+def enumerate_specs(families: Iterable[str], max_vertices: int) -> list[FamilySpec]:
+    """Every instance of the named families with at most `max_vertices`
+    vertices: cycles, then lines, bicyclic and dumbbell graphs, each by
+    increasing parameters (m <= n for the two cycle lengths)."""
+    families = set(families)
+    unknown = families - set(_ARITY)
+    if unknown:
+        raise SpecParseError(f"unknown families {sorted(unknown)}")
+    out = []
+    if "cycle" in families:
+        out += [FamilySpec("cycle", (n,)) for n in range(3, max_vertices + 1)]
+    if "line" in families:
+        out += [FamilySpec("line", (n,)) for n in range(2, max_vertices + 1)]
+    if "bicyclic" in families:
+        out += [FamilySpec("bicyclic", (m, n))
+                for m in range(3, max_vertices + 1)
+                for n in range(m, max_vertices + 2 - m)]
+    if "dumbbell" in families:
+        out += [FamilySpec("dumbbell", (m, k, n))
+                for m in range(3, max_vertices + 1)
+                for n in range(m, max_vertices + 1)
+                for k in range(0, max_vertices - m - n + 1)]
+    return out
+
+
 def _cycle_edges(labels):
     n = len(labels)
     edges = [(labels[i], labels[i + 1]) for i in range(n - 1)]

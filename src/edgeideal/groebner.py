@@ -36,7 +36,15 @@ class DegenerateInputError(ValueError):
 def spair_budget_default() -> int:
     """Budget on processed S-pairs; overridden by $EDGEIDEAL_SPAIR_BUDGET."""
     raw = os.environ.get(SPAIR_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_SPAIR_BUDGET
+    if not raw:
+        return DEFAULT_SPAIR_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"{SPAIR_BUDGET_ENV} must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 @dataclass

@@ -130,24 +130,14 @@ def mono_is_squarefree(a: Mono) -> bool:
 
 @dataclass(frozen=True)
 class TermOrder:
-    """Graded reverse lexicographic order.
-
-    `priority` lists variable indices from highest to lowest priority;
-    None means declaration order.  The order refines total degree and is
-    compatible with multiplication.
+    """Graded reverse lexicographic order, with variables prioritised in
+    declaration order.  The order refines total degree and is compatible
+    with multiplication.
     """
-
-    kind: str = "grevlex"
-    priority: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind != "grevlex":
-            raise ValueError(f"unsupported term order {self.kind!r}")
 
     def key(self, mono: Mono):
         """Sort key: larger key = larger monomial."""
-        e = mono if self.priority is None else tuple(mono[i] for i in self.priority)
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return (sum(mono), tuple(-x for x in reversed(mono)))
 
     def compare(self, a: Mono, b: Mono) -> int:
         _check_dims(a, b)
@@ -177,12 +167,9 @@ class PolyRing:
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        order = order or TermOrder()
-        if order.priority is not None and sorted(order.priority) != list(range(len(names))):
-            raise ValueError("priority must be a permutation of the variable indices")
         self.field = fld
         self.names = names
-        self.order = order
+        self.order = order or TermOrder()
         self._index = {nm: i for i, nm in enumerate(names)}
 
     @property
@@ -251,7 +238,7 @@ class PolyRing:
                 name = f"t{k}"
         elif name in self._index:
             raise ValueError(f"variable {name!r} already present")
-        return PolyRing(self.field, self.names + (name,), TermOrder(self.order.kind))
+        return PolyRing(self.field, self.names + (name,), self.order)
 
     def lift(self, poly: "Polynomial") -> "Polynomial":
         """Re-embed a polynomial whose ring's names are a prefix of this ring's."""

@@ -171,14 +171,15 @@ def _eval_index(text: str, env: dict[str, int]) -> int:
     return ev(ast.parse(text, mode="eval").body)
 
 
-def _split_top_plus(item: str) -> list[str]:
+def _split_top(text: str, sep: str) -> list[str]:
+    """Split on `sep` outside brackets and parentheses."""
     parts, depth, cur = [], 0, []
-    for ch in item:
+    for ch in text:
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if ch == "+" and depth == 0:
+        if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
@@ -214,7 +215,7 @@ def _expand_layout(layout: list[str], qa: list[FormalPoly], qb: list[FormalPoly]
         item = item.strip()
         m = _CHAIN_RE.match(item)
         if m:
-            args = _split_commas(m.group(1))
+            args = _split_top(m.group(1), ",")
             if len(args) != 2:
                 raise TemplateError(f"chain takes two arguments: {item!r}")
             a = _eval_index(args[0], env)
@@ -236,28 +237,12 @@ def _expand_layout(layout: list[str], qa: list[FormalPoly], qb: list[FormalPoly]
             for i in range(start, stop + 1):
                 out.append(list(seq[i]))
             continue
-        pieces = _split_top_plus(item)
+        pieces = _split_top(item, "+")
         merged: FormalPoly = []
         for piece in pieces:
             merged.extend(atom(piece))
         out.append(merged)
     return out
-
-
-def _split_commas(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from .formulas import pd_for_spec
 from .graphs import FamilySpec, Graph, build, edge_ideal, parse_spec, ring_of
 from .groebner import GroebnerStats, radical_membership
 from .homcomplex import projective_dimension
-from .polyalg import mono_divides
+from .polyalg import PrimeField, mono_divides
 from .sequences import GeneratorSequence, sequence_for
 
 DEFAULT_FIELDS = (2, 32003)
@@ -36,14 +36,15 @@ class VerificationReport:
 
     verdict is "pass" exactly when every inclusion bit is true over every
     requested field and sequence length, closed-form value and (when
-    computed) homology value all agree.
+    computed) homology value all agree.  A line carries no sequence, so its
+    `forward` and `reverse` are empty and `sequence_length` is None.
     """
 
     graph_spec: str
     fields: tuple[int, ...]
     forward: tuple[bool, ...]
     reverse: tuple[ReverseCheck, ...]
-    sequence_length: int
+    sequence_length: int | None
     pd_formula: int
     pd_homology: int | None
     verdict: str
@@ -102,9 +103,9 @@ def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
 
 def _verdict(forward, reverse_ok, length, pd_formula, pd_homology,
              homology_consistent) -> str:
-    ok = (all(forward) and all(reverse_ok) and length == pd_formula
-          and homology_consistent
-          and (pd_homology is None or pd_homology == pd_formula))
+    measured = [v for v in (length, pd_homology) if v is not None]
+    ok = (measured and all(v == pd_formula for v in measured)
+          and all(forward) and all(reverse_ok) and homology_consistent)
     return "pass" if ok else "fail"
 
 
@@ -118,6 +119,9 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
     instance is small enough to compute) the homology projective dimension
     over every field equal to the closed-form value.  Oversized instances
     skip the homology stage and are marked formula-only in the stats.
+
+    A line has no generator sequence: its report has no inclusion checks and
+    no length, and homology, its only evidence, is computed at every size.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
@@ -125,28 +129,37 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
     formula = pd_for_spec(spec)
     if formula is None:
         raise ValueError(f"no closed-form projective dimension for {spec}")
+    if not fields:
+        raise ValueError("certify needs at least one field")
+    for p in fields:
+        PrimeField(int(p))  # a bad modulus fails before any field's work
 
     stats = GroebnerStats()
     started = time.perf_counter()
 
-    seqs = {p: sequence_for(spec, p) for p in fields}
-    first = seqs[fields[0]]
-    forward = tuple(verify_forward(first, graph))
-
-    reverse_by_field = {
-        p: verify_reverse(seqs[p], graph, p, spair_budget=spair_budget, stats=stats)
-        for p in fields
-    }
-    reverse = tuple(
-        ReverseCheck(f"{u}*{v}", all(reverse_by_field[p][i] for p in fields))
-        for i, (u, v) in enumerate(graph.edges)
-    )
+    if spec.kind == "line":
+        forward, reverse, length, case = (), (), None, formula.case_tag
+    else:
+        # One sequence serves every field: verify_reverse reads it into each
+        # field's ring, and its coefficients are small integers, exact in
+        # the default GF(32003).
+        seq = sequence_for(spec)
+        forward = tuple(verify_forward(seq, graph))
+        reverse_by_field = {
+            p: verify_reverse(seq, graph, p, spair_budget=spair_budget, stats=stats)
+            for p in fields
+        }
+        reverse = tuple(
+            ReverseCheck(f"{u}*{v}", all(reverse_by_field[p][i] for p in fields))
+            for i, (u, v) in enumerate(graph.edges)
+        )
+        length, case = seq.claimed_length, seq.case_tag
 
     pd_homology = None
     homology_consistent = True
     homology_stage = "formula-only"
     pd_by_field: dict[str, int] = {}
-    if graph.nvertices <= homology_max_vertices:
+    if length is None or graph.nvertices <= homology_max_vertices:
         homology_stage = "computed"
         for p in fields:
             pd_by_field[str(p)] = projective_dimension(graph, p)
@@ -156,7 +169,7 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
         else:
             homology_consistent = False
 
-    verdict = _verdict(forward, [rc.ok for rc in reverse], first.claimed_length,
+    verdict = _verdict(forward, [rc.ok for rc in reverse], length,
                        formula.value, pd_homology, homology_consistent)
 
     return VerificationReport(
@@ -164,12 +177,12 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
         fields=tuple(fields),
         forward=forward,
         reverse=reverse,
-        sequence_length=first.claimed_length,
+        sequence_length=length,
         pd_formula=formula.value,
         pd_homology=pd_homology,
         verdict=verdict,
         stats={
-            "case": first.case_tag,
+            "case": case,
             "s_pairs": stats.spairs,
             "groebner_runs": stats.runs,
             "homology": homology_stage,

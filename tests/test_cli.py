@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,33 @@ def test_spair_budget_env_override(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_bad_spair_budget_option_exit_two(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--graph", "cycle:4", f"--spair-budget={value}"])
+    assert exc.value.code == 2
+    assert "--spair-budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, argv", [
+    ("-1", ["verify", "--graph", "cycle:4"]),
+    ("abc", ["verify", "--graph", "cycle:4"]),
+    ("abc", ["matrix", "--families", "line,bicyclic", "--max-vertices", "5"]),
+])
+def test_bad_spair_budget_env_exit_two(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("EDGEIDEAL_SPAIR_BUDGET", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "EDGEIDEAL_SPAIR_BUDGET" in err
+
+
+def test_verify_line_is_homology_only(capsys):
+    code, out, _ = run(capsys, "verify", "--graph", "line:5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pd_homology"] == 3 and doc["length"] is None
+    assert doc["forward"] == [] and doc["reverse"] == []
+
+
 def test_parse_error_exit_two(capsys):
     code, _, err = run(capsys, "pd", "--graph", "heptagon:7")
     assert code == 2 and "usage" in err
@@ -144,3 +172,19 @@ def test_matrix_includes_bicyclic_and_dumbbell(capsys):
     graphs = [json.loads(line)["graph"] for line in out.splitlines()]
     assert "bicyclic:3,3" in graphs and "dumbbell:3,0,3" in graphs
     assert "dumbbell:3,1,3" in graphs
+
+
+def test_matrix_homology_limit_spares_lines(capsys):
+    code, out, _ = run(capsys, "matrix", "--families", "cycle,line",
+                       "--max-vertices", "5", "--homology-limit", "3")
+    assert code == 0
+    pd = {r["graph"]: r["pd_homology"] for r in map(json.loads, out.splitlines())}
+    assert pd == {"cycle:3": 2, "cycle:4": None, "cycle:5": None,
+                  "line:2": 1, "line:3": 2, "line:4": 2, "line:5": 3}
+
+
+def test_matrix10_matches_the_committed_golden(capsys):
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "golden_matrix10.jsonl"
+    code, out, _ = run(capsys, "matrix", "--max-vertices", "10")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")

@@ -12,6 +12,7 @@ from edgeideal.graphs import (
     build_from_string,
     disjoint_union,
     edge_ideal,
+    enumerate_specs,
     induced_subgraph,
     min_vertex_cover_size,
     parse_spec,
@@ -91,6 +92,19 @@ def test_parse_errors():
                 "pentagon:5", "dumbbell:1,2"):
         with pytest.raises(SpecParseError):
             parse_spec(bad)
+
+
+def test_enumerate_specs_order():
+    specs = [str(s) for s in enumerate_specs(["dumbbell", "line", "cycle", "bicyclic"], 7)]
+    assert specs == ["cycle:3", "cycle:4", "cycle:5", "cycle:6", "cycle:7",
+                     "line:2", "line:3", "line:4", "line:5", "line:6", "line:7",
+                     "bicyclic:3,3", "bicyclic:3,4", "bicyclic:3,5", "bicyclic:4,4",
+                     "dumbbell:3,0,3", "dumbbell:3,1,3", "dumbbell:3,0,4"]
+
+
+def test_enumerate_specs_rejects_unknown_family():
+    with pytest.raises(SpecParseError, match="pentagon"):
+        enumerate_specs(["cycle", "pentagon"], 5)
 
 
 # -- edge ideal ------------------------------------------------------------------------

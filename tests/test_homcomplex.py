@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 
 from edgeideal import homcomplex
-from edgeideal.cli import _matrix_specs
 from edgeideal.errors import ResourceLimitError
-from edgeideal.graphs import build, build_from_string
+from edgeideal.graphs import build, build_from_string, enumerate_specs
 from edgeideal.homcomplex import (
     DomainError,
     SimplicialComplex,
@@ -200,7 +199,7 @@ def test_large_prime_gives_the_gf2_table(spec):
 
 
 def test_characteristic_independence_small_instances():
-    specs = list(_matrix_specs(("cycle", "line", "bicyclic", "dumbbell"), 10))
+    specs = enumerate_specs(("cycle", "line", "bicyclic", "dumbbell"), 10)
     assert len(specs) > 40
     for spec in specs:
         g = build(spec)

@@ -25,8 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeideal.cli import _matrix_specs
-from edgeideal.graphs import Graph, build, build_from_string, induced_subgraph, ring_of
+from edgeideal.graphs import (
+    Graph,
+    build,
+    build_from_string,
+    enumerate_specs,
+    induced_subgraph,
+    ring_of,
+)
 from edgeideal.groebner import radical_membership
 from edgeideal.homcomplex import (
     SimplicialComplex,
@@ -199,7 +205,7 @@ def test_betti_matches_edge_complement_route_on_random_graphs(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_betti_matches_edge_complement_route_on_families(p):
-    for spec in _matrix_specs(("cycle", "line", "bicyclic", "dumbbell"), 9):
+    for spec in enumerate_specs(("cycle", "line", "bicyclic", "dumbbell"), 9):
         g = build(spec)
         assert betti_table(g, p).entries == edge_complement_betti(g, p), str(spec)
 

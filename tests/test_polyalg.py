@@ -100,14 +100,6 @@ def test_compare_grevlex_prefers_early_support():
     assert compare(order, (0, 1, 1, 0), (1, 0, 0, 1)) == 1  # x2*x3 > x1*x4
 
 
-def test_compare_respects_priority_permutation():
-    # reversed priority x4 > x3 > x2 > x1 flips the degree-2 tie-breaks
-    reversed_order = TermOrder(priority=(3, 2, 1, 0))
-    a, b = (1, 1, 0, 0), (0, 0, 1, 1)  # x1*x2 vs x3*x4
-    assert compare(TermOrder(), a, b) == 1
-    assert compare(reversed_order, a, b) == -1
-
-
 def test_compare_matches_bruteforce_on_all_degree2_monomials():
     order = TermOrder()
     monos = [tuple(1 if k in (i, j) else (2 if i == j and k == i else 0)

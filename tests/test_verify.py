@@ -1,5 +1,6 @@
 import pytest
 
+from edgeideal import verify
 from edgeideal.errors import ResourceLimitError
 from edgeideal.graphs import build_from_string, parse_spec, ring_of
 from edgeideal.sequences import GeneratorSequence, cycle_sequence
@@ -77,6 +78,9 @@ def test_verdict_requires_every_bit_and_every_field():
     assert _verdict([True], [True], 3, 3, 4, True) == "fail"     # homology disagrees
     assert _verdict([True], [True], 3, 3, None, True) == "pass"  # formula-only
     assert _verdict([True], [True], 3, 3, None, False) == "fail" # field mismatch
+    assert _verdict([], [], None, 3, 3, True) == "pass"          # line: homology only
+    assert _verdict([], [], None, 3, 2, True) == "fail"
+    assert _verdict([], [], None, 3, None, False) == "fail"
 
 
 # -- certify ----------------------------------------------------------------------------
@@ -96,6 +100,28 @@ def test_certify_dumbbell_bridge():
 def test_certify_rejects_sequence_free_families():
     with pytest.raises(ValueError):
         certify("union:cycle:3+line:2", (2,))
+
+
+def test_certify_line_is_homology_only():
+    report = certify("line:5", (2, 3), homology_max_vertices=0)
+    assert report.passed
+    assert report.forward == () and report.reverse == ()
+    assert report.sequence_length is None
+    assert report.pd_homology == 3 == report.pd_formula
+    assert report.stats["case"] == "n≡2" and report.stats["homology"] == "computed"
+
+
+def test_certify_line_fails_when_homology_disagrees(monkeypatch):
+    monkeypatch.setattr(verify, "projective_dimension", lambda g, p: 2)
+    assert certify("line:5", (2,)).verdict == "fail"
+
+
+def test_certify_checks_fields_before_any_work(monkeypatch):
+    monkeypatch.setattr(verify, "verify_reverse", None)  # calling it would raise TypeError
+    with pytest.raises(ValueError, match="field"):
+        certify("cycle:4", ())
+    with pytest.raises(ValueError, match="prime"):
+        certify("cycle:4", (2, 4))
 
 
 def test_certify_formula_only_when_oversized():
