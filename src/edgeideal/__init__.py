@@ -20,7 +20,7 @@ from .homcomplex import (
     projective_dimension,
     reduced_homology_dims,
 )
-from .polyalg import Polynomial, PolyRing, PrimeField, TermOrder
+from .polyalg import Polynomial, PolyRing, PrimeField
 from .sequences import (
     GeneratorSequence,
     SVPartition,
@@ -45,7 +45,6 @@ __all__ = [
     "PrimeField",
     "SVPartition",
     "SimplicialComplex",
-    "TermOrder",
     "VerificationReport",
     "betti_table",
     "bicyclic_vertex_sequence",

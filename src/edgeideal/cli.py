@@ -24,6 +24,7 @@ from .graphs import (
 )
 from .groebner import spair_budget_default
 from .homcomplex import betti_table, projective_dimension
+from .polyalg import PrimeField
 from .sequences import sequence_for
 from .verify import DEFAULT_HOMOLOGY_MAX_VERTICES, certify
 
@@ -59,6 +60,14 @@ def _spair_budget(text: str) -> int:
     if budget < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return budget
+
+
+def _prime(text: str) -> int:
+    try:
+        return PrimeField(int(text)).p
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a machine-word sized prime, got {text!r}") from None
 
 
 def cmd_pd(args) -> int:
@@ -176,14 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pd", help="projective dimension (formula and homology)")
     add_common(p)
-    p.add_argument("--field", type=int, default=2, help="field for the homology run")
+    p.add_argument("--field", type=_prime, default=2, help="field for the homology run")
     p.add_argument("--homology-limit", type=int, default=DEFAULT_HOMOLOGY_MAX_VERTICES)
     p.set_defaults(func=cmd_pd)
 
     p = sub.add_parser("betti", help="graded Betti table of the edge ideal")
     p.add_argument("--graph", required=True)
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--field", type=int, default=2)
+    p.add_argument("--field", type=_prime, default=2)
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("sequence", help="radical generator sequence")

@@ -1,4 +1,4 @@
-"""Buchberger's algorithm, multivariate division and radical-membership tests.
+"""Buchberger's algorithm, normal form and radical-membership tests.
 
 The engine is deliberately small: normal pair selection (smallest lcm degree
 first) with the coprimality criterion, full tail reduction, and a hard budget
@@ -17,7 +17,7 @@ from .errors import ResourceLimitError
 from .polyalg import (
     Mono,
     Polynomial,
-    TermOrder,
+    grevlex_key,
     mono_degree,
     mono_div,
     mono_divides,
@@ -65,7 +65,6 @@ class GroebnerBasis:
     another, every S-polynomial reduces to zero."""
 
     generators: tuple[Polynomial, ...]
-    order: TermOrder
     spairs_processed: int = 0
 
     def __iter__(self):
@@ -93,33 +92,31 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return left - right
 
 
-def division(f: Polynomial, basis: Sequence[Polynomial]) -> tuple[list[Polynomial], Polynomial]:
-    """Multivariate division: quotients q_i and remainder r with
-    f = sum(q_i * b_i) + r and no term of r divisible by any lt(b_i)."""
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+    """Normal form r of f modulo `basis`: f - r lies in the ideal of `basis`,
+    and no term of r is divisible by any lt(b).  Only r is built."""
+    if not basis:
+        return f
     ring = f.ring
     p = ring.modulus
     divisors = []
     for b in basis:
         if b.is_zero:
-            raise DegenerateInputError("zero polynomial in division basis")
+            raise DegenerateInputError("zero polynomial in normal-form basis")
         f._check_ring(b)
-        divisors.append((b.leading_monomial(), ring.field.inv(b.leading_coeff()), b))
+        divisors.append((b.leading_monomial(), ring.field.inv(b.leading_coeff()), b.terms[1:]))
 
-    key = ring.order.key
     work = dict(f.terms)
     remainder: dict[Mono, int] = {}
-    quotients: list[dict[Mono, int]] = [{} for _ in divisors]
-
     while work:
-        mono = max(work, key=key)
+        mono = max(work, key=grevlex_key)
         coeff = work.pop(mono)
-        for qi, (lm, lc_inv, b) in zip(quotients, divisors):
+        for lm, lc_inv, tail in divisors:
             if mono_divides(lm, mono):
                 qm = mono_div(mono, lm)
                 qc = coeff * lc_inv % p
-                qi[qm] = (qi.get(qm, 0) + qc) % p
                 # the leading term of qc*qm*b cancels `mono` exactly
-                for bm, bc in b.terms[1:]:
+                for bm, bc in tail:
                     mm = mono_mul(qm, bm)
                     nv = (work.get(mm, 0) - qc * bc) % p
                     if nv:
@@ -129,15 +126,7 @@ def division(f: Polynomial, basis: Sequence[Polynomial]) -> tuple[list[Polynomia
                 break
         else:
             remainder[mono] = coeff
-
-    return [ring.poly(q) for q in quotients], ring.poly(remainder)
-
-
-def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of multivariate division of f by `basis`."""
-    if not basis:
-        return f
-    return division(f, basis)[1]
+    return ring.poly(remainder)
 
 
 def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None) -> GroebnerBasis:
@@ -194,17 +183,16 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
             unit = push(r.monic())
 
     if unit:
-        return GroebnerBasis((ring.one(),), ring.order, processed)
+        return GroebnerBasis((ring.one(),), processed)
     if not basis:
-        return GroebnerBasis((), ring.order, processed)
+        return GroebnerBasis((), processed)
 
-    return GroebnerBasis(tuple(_reduce_basis(basis)), ring.order, processed)
+    return GroebnerBasis(tuple(_reduce_basis(basis)), processed)
 
 
 def _reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
     """Minimalize then tail-reduce; output sorted descending by leading monomial."""
-    key = basis[0].ring.order.key
-    by_lm = sorted(basis, key=lambda g: key(g.leading_monomial()))
+    by_lm = sorted(basis, key=lambda g: grevlex_key(g.leading_monomial()))
     minimal: list[Polynomial] = []
     for g in by_lm:
         lm = g.leading_monomial()
@@ -215,7 +203,7 @@ def _reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
         others = minimal[:i] + minimal[i + 1:]
         r = normal_form(g, others) if others else g
         reduced.append(r.monic())
-    reduced.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
+    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()), reverse=True)
     return reduced
 
 

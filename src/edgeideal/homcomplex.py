@@ -14,13 +14,14 @@ is computed from the small independence complexes of connected induced
 subgraphs, combined across components by the Kuenneth rule for joins.
 
 Homology is computed from boundary-matrix ranks over the chosen prime field:
-bitset elimination for GF(2), sparse column elimination in exact integer
-arithmetic otherwise.  Reduced conventions: the complex {emptyset} has one
-dimension of homology in degree -1; the void complex has none anywhere.
+one sparse exact reducer for every prime, reduced top-down with clearing.
+Reduced conventions: the complex {emptyset} has one dimension of homology in
+degree -1; the void complex has none anywhere.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import ResourceLimitError
@@ -97,21 +98,9 @@ def epsilon_complex(h: Graph) -> SimplicialComplex:
 
 # -- rank computations ---------------------------------------------------------
 
-def _rank_gf2(columns: list[int]) -> int:
-    """Rank over GF(2) of a matrix given as column bitmasks."""
-    pivots: dict[int, int] = {}
-    for col in columns:
-        while col:
-            b = col.bit_length() - 1
-            if b not in pivots:
-                pivots[b] = col
-                break
-            col ^= pivots[b]
-    return len(pivots)
-
-
-def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
-    """Rank over GF(p) of a matrix given as sparse columns {row: entry}.
+def _pivot_rows(columns: Iterable[dict[int, int]], p: int) -> set[int]:
+    """Pivot rows of a matrix over GF(p) given as sparse columns {row: entry};
+    their number is the rank.
 
     Each column is reduced against the stored pivot columns, keyed by their
     largest row, in exact Python integer arithmetic, so any prime is safe.
@@ -124,7 +113,7 @@ def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
             piv = pivots.get(top)
             if piv is None:
                 inv = pow(col[top], -1, p)
-                pivots[top] = {r: x * inv % p for r, x in col.items()}
+                pivots[top] = col if inv == 1 else {r: x * inv % p for r, x in col.items()}
                 break
             f = col[top]
             for r, x in piv.items():
@@ -133,36 +122,34 @@ def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
                     col[r] = y
                 else:
                     del col[r]
-    return len(pivots)
+    return set(pivots)
 
 
-def _boundary_rank(upper: list[int], lower_index: dict[int, int], p: int) -> int:
-    """Rank of the boundary map from faces `upper` to the layer one lower."""
-    if not upper or not lower_index:
-        return 0
-    cols = []
-    if p == 2:
-        for face in upper:
-            col, m = 0, face
-            while m:
-                v = m & -m
-                col |= 1 << lower_index[face ^ v]
-                m ^= v
-            cols.append(col)
-        return _rank_gf2(cols)
-    for face in upper:
+def _boundary_columns(upper: list[int], lower: list[int],
+                      cleared: set[int]) -> Iterator[dict[int, int]]:
+    """Sparse columns of the boundary map from faces `upper` to the sorted
+    layer `lower` one below, skipping the faces whose index is in `cleared`."""
+    index = {f: i for i, f in enumerate(lower)}
+    for j, face in enumerate(upper):
+        if j in cleared:
+            continue
         col, sign, m = {}, 1, face
         while m:
             v = m & -m
-            col[lower_index[face ^ v]] = sign
+            col[index[face ^ v]] = sign
             sign, m = -sign, m ^ v
-        cols.append(col)
-    return _rank_mod_p(cols, p)
+        yield col
 
 
 def _homology_from_faces(faces, p: int) -> dict[int, int]:
     """Reduced homology dimensions of the complex whose faces (bitmasks,
-    closed under subsets, the empty face included) are given."""
+    closed under subsets, the empty face included) are given.
+
+    The boundary maps are reduced from the top degree down, with clearing:
+    a face that is a pivot row of the map from the layer above is the
+    largest face of a reduced column there, which is a cycle, so the face's
+    own column is a combination of earlier columns and is skipped.
+    """
     layers: dict[int, list[int]] = {}
     for f in faces:
         layers.setdefault(f.bit_count(), []).append(f)
@@ -170,11 +157,12 @@ def _homology_from_faces(faces, p: int) -> dict[int, int]:
         layer.sort()
     top = max(layers)
 
-    index = {s: {f: i for i, f in enumerate(layer)} for s, layer in layers.items()}
-    ranks = {s: _boundary_rank(layers[s], index.get(s - 1, {}), p)
-             for s in range(1, top + 1)}
-    ranks[0] = 0
-    ranks[top + 1] = 0
+    ranks = {0: 0, top + 1: 0}
+    cleared: set[int] = set()
+    for s in range(top, 0, -1):
+        cleared = _pivot_rows(
+            _boundary_columns(layers[s], layers[s - 1], cleared), p)
+        ranks[s] = len(cleared)
 
     profile = {}
     for s in range(0, top + 1):

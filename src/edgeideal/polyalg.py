@@ -61,21 +61,6 @@ class PrimeField:
         if not isinstance(self.p, int) or self.p >= 1 << 62 or not is_prime(self.p):
             raise ValueError(f"modulus must be a machine-word sized prime, got {self.p!r}")
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -128,48 +113,33 @@ def mono_is_squarefree(a: Mono) -> bool:
 
 # -- term order --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermOrder:
-    """Graded reverse lexicographic order, with variables prioritised in
-    declaration order.  The order refines total degree and is compatible
-    with multiplication.
-    """
-
-    def key(self, mono: Mono):
-        """Sort key: larger key = larger monomial."""
-        return (sum(mono), tuple(-x for x in reversed(mono)))
-
-    def compare(self, a: Mono, b: Mono) -> int:
-        _check_dims(a, b)
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-
-def compare(order: TermOrder, a: Mono, b: Mono) -> int:
-    """-1, 0 or 1 as a <, =, > b under `order`."""
-    return order.compare(a, b)
+def grevlex_key(mono: Mono):
+    """Sort key of the graded reverse lexicographic order, with variables
+    prioritised in declaration order: a larger key is a larger monomial.
+    The order refines total degree and is compatible with multiplication."""
+    return (sum(mono), tuple(-x for x in reversed(mono)))
 
 
 # -- rings and polynomials ---------------------------------------------------
 
 class PolyRing:
-    """GF(p)[names...] with a fixed term order.
+    """GF(p)[names...] under the grevlex term order.
 
     Variable declaration order doubles as the grevlex priority, so callers
     fix priorities by choosing the name order (x-block before y-block before
-    z-block before any auxiliary variable).  Rings compare by value.
+    z-block before any auxiliary variable).  Two rings are equal when their
+    fields and names are.
     """
 
-    __slots__ = ("field", "names", "order", "_index")
+    __slots__ = ("field", "names", "_index")
 
-    def __init__(self, modulus, names: Iterable[str], order: TermOrder | None = None):
+    def __init__(self, modulus, names: Iterable[str]):
         fld = modulus if isinstance(modulus, PrimeField) else PrimeField(int(modulus))
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         self.field = fld
         self.names = names
-        self.order = order or TermOrder()
         self._index = {nm: i for i, nm in enumerate(names)}
 
     @property
@@ -183,11 +153,10 @@ class PolyRing:
     def __eq__(self, other):
         return (isinstance(other, PolyRing)
                 and self.field == other.field
-                and self.names == other.names
-                and self.order == other.order)
+                and self.names == other.names)
 
     def __hash__(self):
-        return hash((self.field, self.names, self.order))
+        return hash((self.field, self.names))
 
     def __repr__(self):
         return f"PolyRing(GF({self.modulus}), {'.'.join(self.names)})"
@@ -203,9 +172,6 @@ class PolyRing:
         for nm, k in powers.items():
             e[self._index[nm]] += k
         return tuple(e)
-
-    def key(self, mono: Mono):
-        return self.order.key(mono)
 
     def poly(self, terms: Mapping[Mono, int]) -> "Polynomial":
         return Polynomial(self, terms)
@@ -238,7 +204,7 @@ class PolyRing:
                 name = f"t{k}"
         elif name in self._index:
             raise ValueError(f"variable {name!r} already present")
-        return PolyRing(self.field, self.names + (name,), self.order)
+        return PolyRing(self.field, self.names + (name,))
 
     def lift(self, poly: "Polynomial") -> "Polynomial":
         """Re-embed a polynomial whose ring's names are a prefix of this ring's."""
@@ -261,8 +227,8 @@ class Polynomial:
     """Immutable polynomial over a PolyRing.
 
     Terms are (monomial, coefficient) pairs, coefficients nonzero in [1, p),
-    sorted strictly descending under the ring's term order; the zero
-    polynomial is the empty term tuple.
+    sorted strictly descending in grevlex order; the zero polynomial is the
+    empty term tuple.
     """
 
     __slots__ = ("ring", "terms")
@@ -277,10 +243,10 @@ class Polynomial:
             c %= p
             if c:
                 clean[m] = c
-        key = ring.order.key
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms",
-                           tuple(sorted(clean.items(), key=lambda t: key(t[0]), reverse=True)))
+                           tuple(sorted(clean.items(), key=lambda t: grevlex_key(t[0]),
+                                        reverse=True)))
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -317,12 +283,6 @@ class Polynomial:
     def monomials(self) -> tuple[Mono, ...]:
         return tuple(m for m, _ in self.terms)
 
-    def coeff(self, mono: Mono) -> int:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.ring == other.ring and self.terms == other.terms)
@@ -352,9 +312,6 @@ class Polynomial:
         for m, c in other.terms:
             acc[m] = acc.get(m, 0) - c
         return Polynomial(self.ring, acc)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self.terms})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)

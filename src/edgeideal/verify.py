@@ -131,8 +131,10 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
         raise ValueError(f"no closed-form projective dimension for {spec}")
     if not fields:
         raise ValueError("certify needs at least one field")
-    for p in fields:
-        PrimeField(int(p))  # a bad modulus fails before any field's work
+    # a bad or repeated modulus fails before any field's work
+    moduli = [PrimeField(int(p)).p for p in fields]
+    if len(set(moduli)) != len(moduli):
+        raise ValueError(f"repeated field in {list(fields)}")
 
     stats = GroebnerStats()
     started = time.perf_counter()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from edgeideal import cli
+from edgeideal import cli, verify
 from edgeideal.cli import main
 from edgeideal.verify import VerificationReport
 
@@ -148,6 +148,27 @@ def test_bad_fields_exit_two(capsys):
 def test_composite_modulus_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--graph", "cycle:4", "--fields", "2,4")
     assert code == 2 and "prime" in err
+
+
+@pytest.mark.parametrize("command", ["pd", "betti"])
+@pytest.mark.parametrize("value", ["4", "1", "x"])
+def test_bad_field_exit_two_before_any_work(capsys, monkeypatch, command, value):
+    # cycle:30 is over the homology limit, so `pd` would otherwise never
+    # reach the field
+    monkeypatch.setattr(cli, "betti_table", None)
+    monkeypatch.setattr(cli, "projective_dimension", None)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", "cycle:30", "--field", value])
+    assert exc.value.code == 2
+    assert "--field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "matrix"])
+def test_repeated_field_exit_two(capsys, monkeypatch, command):
+    monkeypatch.setattr(verify, "verify_reverse", None)  # calling it would raise TypeError
+    argv = ["--graph", "cycle:5"] if command == "verify" else ["--max-vertices", "5"]
+    code, out, err = run(capsys, command, *argv, "--fields", "2,2")
+    assert code == 2 and out == "" and "repeated field" in err
 
 
 def test_matrix_rows_and_determinism(capsys):

@@ -81,8 +81,20 @@ def test_epsilon_cycle4_is_a_circle(p):
     assert reduced_homology_dims(c, p) == {1: 1}
 
 
+def test_rp2_homology_depends_on_characteristic():
+    # the 6-vertex real projective plane: H_1 = Z/2, so GF(2) sees H~_1 and
+    # H~_2, and odd characteristic sees nothing
+    facets = ("123", "134", "145", "156", "162", "235", "346", "452", "563", "624")
+    c = SimplicialComplex(tuple("123456"), tuple(frozenset(f) for f in facets))
+    assert reduced_homology_dims(c, 2) == {1: 1, 2: 1}
+    assert reduced_homology_dims(c, 3) == {}
+    assert reduced_homology_dims(c, 32003) == {}
+
+
 def test_negative_homology_dimension_raises(monkeypatch):
-    monkeypatch.setattr(homcomplex, "_boundary_rank", lambda upper, lower, p: len(upper) + 1)
+    # one pivot row more than the map has columns
+    monkeypatch.setattr(homcomplex, "_pivot_rows",
+                        lambda columns, p: set(range(len(list(columns)) + 1)))
     with pytest.raises(ArithmeticError, match="negative homology dimension"):
         reduced_homology_dims(epsilon_complex(build_from_string("cycle:4")), 3)
     with pytest.raises(ArithmeticError, match="negative homology dimension"):

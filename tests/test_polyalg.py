@@ -7,8 +7,7 @@ from edgeideal.polyalg import (
     FieldMismatchError,
     PolyRing,
     PrimeField,
-    TermOrder,
-    compare,
+    grevlex_key,
     is_prime,
     mono_divides,
     mono_lcm,
@@ -38,7 +37,7 @@ def test_prime_field_rejects_composites():
 def test_inverse_roundtrip(p):
     fld = PrimeField(p)
     for a in range(1, min(p, 50)):
-        assert fld.mul(a, fld.inv(a)) == 1
+        assert a * fld.inv(a) % p == 1
 
 
 def test_is_prime_spot_values():
@@ -84,30 +83,32 @@ def test_divides_iff_lcm_is_b(ms):
 
 # -- term order --------------------------------------------------------------------
 
+def cmp(a, b) -> int:
+    """-1, 0 or 1 as a <, =, > b under grevlex, read from the sort keys."""
+    ka, kb = grevlex_key(a), grevlex_key(b)
+    return (ka > kb) - (ka < kb)
+
+
 def test_compare_pure_power_beats_mixed():
-    order = TermOrder()
-    assert compare(order, (2, 0), (1, 1)) == 1  # x1^2 > x1*x2
+    assert cmp((2, 0), (1, 1)) == 1  # x1^2 > x1*x2
 
 
 def test_compare_reflexive():
-    order = TermOrder()
-    assert compare(order, (1, 0, 0), (1, 0, 0)) == 0
+    assert cmp((1, 0, 0), (1, 0, 0)) == 0
 
 
 def test_compare_grevlex_prefers_early_support():
     # degree-2 tie: smaller exponent on the least variable wins
-    order = TermOrder()
-    assert compare(order, (0, 1, 1, 0), (1, 0, 0, 1)) == 1  # x2*x3 > x1*x4
+    assert cmp((0, 1, 1, 0), (1, 0, 0, 1)) == 1  # x2*x3 > x1*x4
 
 
 def test_compare_matches_bruteforce_on_all_degree2_monomials():
-    order = TermOrder()
     monos = [tuple(1 if k in (i, j) else (2 if i == j and k == i else 0)
                    for k in range(4))
              for i in range(4) for j in range(i, 4)]
     for a in monos:
         for b in monos:
-            got = compare(order, a, b)
+            got = cmp(a, b)
             want = 1 if grevlex_greater(a, b) else (-1 if grevlex_greater(b, a) else 0)
             assert got == want, (a, b)
 
@@ -115,25 +116,23 @@ def test_compare_matches_bruteforce_on_all_degree2_monomials():
 @given(st.tuples(*[st.integers(0, 3)] * 4), st.tuples(*[st.integers(0, 3)] * 4),
        st.tuples(*[st.integers(0, 3)] * 4))
 def test_compare_is_multiplicative_and_degree_refining(a, b, c):
-    order = TermOrder()
-    assert compare(order, mono_mul(a, c), mono_mul(b, c)) == compare(order, a, b)
+    assert cmp(mono_mul(a, c), mono_mul(b, c)) == cmp(a, b)
     if sum(a) > sum(b):
-        assert compare(order, a, b) == 1
+        assert cmp(a, b) == 1
 
 
 @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=3, max_size=8, unique=True))
 def test_compare_is_strict_total_order(sample):
-    order = TermOrder()
     for a in sample:
         for b in sample:
-            cab, cba = compare(order, a, b), compare(order, b, a)
+            cab, cba = cmp(a, b), cmp(b, a)
             assert cab == -cba
             assert (cab == 0) == (a == b)
     for a in sample:
         for b in sample:
             for c in sample:
-                if compare(order, a, b) > 0 and compare(order, b, c) > 0:
-                    assert compare(order, a, c) > 0
+                if cmp(a, b) > 0 and cmp(b, c) > 0:
+                    assert cmp(a, c) > 0
 
 
 # -- polynomial arithmetic ----------------------------------------------------------
@@ -169,8 +168,8 @@ def test_terms_sorted_descending_and_nonzero():
     f = R.poly({R.monomial("x1"): 2, R.monomial(x2=3): 1, R.monomial(): 3})
     # the constant 3 vanishes mod 3; x2^3 has higher degree than x1
     assert [m for m, _ in f.terms] == [R.monomial(x2=3), R.monomial("x1")]
-    key = R.order.key
-    assert all(key(f.terms[i][0]) > key(f.terms[i + 1][0]) for i in range(len(f.terms) - 1))
+    assert all(grevlex_key(f.terms[i][0]) > grevlex_key(f.terms[i + 1][0])
+               for i in range(len(f.terms) - 1))
 
 
 def test_field_mismatch_raises():

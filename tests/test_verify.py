@@ -122,6 +122,8 @@ def test_certify_checks_fields_before_any_work(monkeypatch):
         certify("cycle:4", ())
     with pytest.raises(ValueError, match="prime"):
         certify("cycle:4", (2, 4))
+    with pytest.raises(ValueError, match="repeated field"):
+        certify("cycle:5", (2, 2))
 
 
 def test_certify_formula_only_when_oversized():
