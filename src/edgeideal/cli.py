@@ -3,7 +3,9 @@
 Subcommands: pd, betti, sequence, verify, stci, matrix.  Output is one JSON
 object (or one JSON line per instance for matrix) unless --format says
 otherwise.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error, 3 resource limit exceeded.
+error (a bad spec, option, field list or budget, found before any work),
+3 resource limit exceeded, 4 internal error (any other exception, reported
+with its traceback; a defect, not a verdict).
 """
 
 from __future__ import annotations
@@ -12,16 +14,9 @@ import argparse
 import json
 import sys
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, UsageError
 from .formulas import cycle_height, is_stci_cycle, pd_cycle, pd_for_spec
-from .graphs import (
-    ConstructionError,
-    SpecParseError,
-    build,
-    enumerate_specs,
-    min_vertex_cover_size,
-    parse_spec,
-)
+from .graphs import SpecParseError, build, enumerate_specs, min_vertex_cover_size, parse_spec
 from .groebner import spair_budget_default
 from .homcomplex import betti_table, projective_dimension
 from .polyalg import PrimeField
@@ -32,6 +27,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(obj, fmt: str):
@@ -52,14 +48,14 @@ def _parse_fields(text: str) -> tuple[int, ...]:
     return fields
 
 
-def _spair_budget(text: str) -> int:
+def _nonnegative_int(text: str) -> int:
     try:
-        budget = int(text)
+        value = int(text)
     except ValueError:
-        budget = -1
-    if budget < 0:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return budget
+    return value
 
 
 def _prime(text: str) -> int:
@@ -186,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pd", help="projective dimension (formula and homology)")
     add_common(p)
     p.add_argument("--field", type=_prime, default=2, help="field for the homology run")
-    p.add_argument("--homology-limit", type=int, default=DEFAULT_HOMOLOGY_MAX_VERTICES)
+    p.add_argument("--homology-limit", type=_nonnegative_int, default=DEFAULT_HOMOLOGY_MAX_VERTICES)
     p.set_defaults(func=cmd_pd)
 
     p = sub.add_parser("betti", help="graded Betti table of the edge ideal")
@@ -201,8 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify the sequence against the edge ideal")
     add_common(p, fields_default="2,32003")
-    p.add_argument("--spair-budget", type=_spair_budget, default=None)
-    p.add_argument("--homology-limit", type=int, default=DEFAULT_HOMOLOGY_MAX_VERTICES)
+    p.add_argument("--spair-budget", type=_nonnegative_int, default=None)
+    p.add_argument("--homology-limit", type=_nonnegative_int, default=DEFAULT_HOMOLOGY_MAX_VERTICES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stci", help="set-theoretic complete intersection test (cycles)")
@@ -211,11 +207,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="verification sweep, one row per instance")
     p.add_argument("--families", default="cycle,line,bicyclic,dumbbell")
-    p.add_argument("--max-vertices", type=int, default=9)
+    p.add_argument("--max-vertices", type=_nonnegative_int, default=9)
     p.add_argument("--fields", default="2,32003")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--spair-budget", type=_spair_budget, default=None)
-    p.add_argument("--homology-limit", type=int, default=DEFAULT_HOMOLOGY_MAX_VERTICES)
+    p.add_argument("--spair-budget", type=_nonnegative_int, default=None)
+    p.add_argument("--homology-limit", type=_nonnegative_int, default=DEFAULT_HOMOLOGY_MAX_VERTICES)
     p.set_defaults(func=cmd_matrix)
 
     return parser
@@ -226,13 +222,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecParseError, ConstructionError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception as exc:
+        # not something the caller can fix: keep the traceback for the
+        # report.  Imported only here, since loading the module costs every
+        # run memory.
+        import traceback
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,6 +1,12 @@
 """Exceptions shared across modules."""
 
 
+class UsageError(ValueError):
+    """A request the caller has to change: a malformed spec, family
+    parameters out of range, a bad field list or S-pair budget.  Raised
+    before any work; the command line reports it with exit code 2."""
+
+
 class ResourceLimitError(RuntimeError):
     """A configured resource budget (S-pair count, instance size) was exceeded.
 

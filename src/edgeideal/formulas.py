@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import FamilySpec
+from .graphs import ConstructionError, FamilySpec
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class FormulaResult:
 def pd_cycle(n: int) -> FormulaResult:
     """Projective dimension (= arithmetical rank) of the n-cycle edge ideal."""
     if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
+        raise ConstructionError(f"cycle needs n >= 3, got {n}")
     r = n % 3
     if r == 0:
         return FormulaResult(2 * n // 3, "n≡0")
@@ -34,7 +34,7 @@ def pd_cycle(n: int) -> FormulaResult:
 def pd_line(n: int) -> FormulaResult:
     """Projective dimension of the n-vertex line edge ideal."""
     if n < 2:
-        raise ValueError(f"line needs n >= 2, got {n}")
+        raise ConstructionError(f"line needs n >= 2, got {n}")
     r = n % 3
     if r == 0:
         return FormulaResult(2 * n // 3, "n≡0")
@@ -46,7 +46,7 @@ def pd_line(n: int) -> FormulaResult:
 def pd_bicyclic_vertex(m: int, n: int) -> FormulaResult:
     """Two cycles of lengths m and n sharing one vertex; |V| = m + n - 1."""
     if m < 3 or n < 3:
-        raise ValueError(f"cycle lengths must be >= 3, got {(m, n)}")
+        raise ConstructionError(f"cycle lengths must be >= 3, got {(m, n)}")
     v = m + n - 1
     r = v % 3
     if r == 1:
@@ -63,9 +63,9 @@ def pd_dumbbell(m: int, k: int, n: int) -> FormulaResult:
     """Two cycles of lengths m and n joined by a path with k internal
     vertices (k = 0 is a bridge edge); |V| = m + n + k."""
     if m < 3 or n < 3:
-        raise ValueError(f"cycle lengths must be >= 3, got {(m, n)}")
+        raise ConstructionError(f"cycle lengths must be >= 3, got {(m, n)}")
     if k < 0:
-        raise ValueError(f"path parameter must be >= 0, got {k}")
+        raise ConstructionError(f"path parameter must be >= 0, got {k}")
     v = m + n + k
     r = v % 3
     if r == 1:
@@ -82,7 +82,7 @@ def pd_dumbbell(m: int, k: int, n: int) -> FormulaResult:
 def cycle_height(n: int) -> int:
     """Height of the n-cycle edge ideal = minimum vertex cover size = ceil(n/2)."""
     if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
+        raise ConstructionError(f"cycle needs n >= 3, got {n}")
     return (n + 1) // 2
 
 

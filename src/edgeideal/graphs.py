@@ -13,17 +13,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, UsageError
 from .polyalg import Mono, PolyRing
 
 MAX_COVER_VERTICES = 25
 
 
-class ConstructionError(ValueError):
+class ConstructionError(UsageError):
     """Family parameters out of range, or malformed graph data."""
 
 
-class SpecParseError(ValueError):
+class SpecParseError(UsageError):
     """A graph spec string does not match the mini-language grammar."""
 
 

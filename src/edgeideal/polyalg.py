@@ -25,6 +25,9 @@ class FieldMismatchError(ValueError):
 # -- prime fields ------------------------------------------------------------
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# below this bound the witnesses 2, 3, 5, 7 alone are deterministic
+# (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993)
+_MR_SMALL_BOUND = 3_215_031_751
 
 
 def is_prime(n: int) -> bool:
@@ -38,7 +41,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4] if n < _MR_SMALL_BOUND else _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
+from .errors import UsageError
 from .formulas import pd_cycle, pd_for_spec
 from .graphs import FamilySpec, Graph, build, ring_of
 from .polyalg import Mono, Polynomial, PolyRing, mono_divides
@@ -345,7 +346,7 @@ def sequence_for(spec: FamilySpec, modulus: int = DEFAULT_SEQUENCE_MODULUS) -> G
         return bicyclic_vertex_sequence(*spec.params, modulus=modulus)
     if spec.kind == "dumbbell":
         return dumbbell_sequence(*spec.params, modulus=modulus)
-    raise ValueError(f"no generator sequence is defined for family {spec.kind!r}")
+    raise UsageError(f"no generator sequence is defined for family {spec.kind!r}")
 
 
 # -- Schmitt-Vogel partitions ------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, UsageError
 from .formulas import pd_for_spec
 from .graphs import FamilySpec, Graph, build, edge_ideal, parse_spec, ring_of
 from .groebner import GroebnerStats, radical_membership
@@ -94,10 +94,11 @@ def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
         try:
             out.append(radical_membership(target, gens, spair_budget, stats))
         except ResourceLimitError as exc:
+            # keep how far the run got (buchberger's S-pair count and queue)
             raise ResourceLimitError(
                 f"radical membership of edge {u}*{v} over GF({modulus}): {exc}",
                 stage="verify_reverse",
-                detail={"edge": (u, v), "modulus": modulus}) from exc
+                detail={**(exc.detail or {}), "edge": (u, v), "modulus": modulus}) from exc
     return out
 
 
@@ -125,27 +126,31 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    graph = build(spec)
     formula = pd_for_spec(spec)
     if formula is None:
-        raise ValueError(f"no closed-form projective dimension for {spec}")
+        raise UsageError(f"no closed-form projective dimension for {spec}")
     if not fields:
-        raise ValueError("certify needs at least one field")
+        raise UsageError("certify needs at least one field")
     # a bad or repeated modulus fails before any field's work
-    moduli = [PrimeField(int(p)).p for p in fields]
+    try:
+        moduli = [PrimeField(int(p)).p for p in fields]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if len(set(moduli)) != len(moduli):
-        raise ValueError(f"repeated field in {list(fields)}")
+        raise UsageError(f"repeated field in {list(fields)}")
 
     stats = GroebnerStats()
     started = time.perf_counter()
 
     if spec.kind == "line":
+        graph = build(spec)
         forward, reverse, length, case = (), (), None, formula.case_tag
     else:
         # One sequence serves every field: verify_reverse reads it into each
         # field's ring, and its coefficients are small integers, exact in
-        # the default GF(32003).
+        # the default GF(32003).  It carries the graph of `spec`.
         seq = sequence_for(spec)
+        graph = seq.graph
         forward = tuple(verify_forward(seq, graph))
         reverse_by_field = {
             p: verify_reverse(seq, graph, p, spair_budget=spair_budget, stats=stats)

@@ -4,6 +4,7 @@ Everything here recomputes results from definitions, bypassing the package's
 own code paths, so a test comparing the two sides is a genuine cross-check.
 """
 
+import heapq
 from itertools import combinations
 from math import comb
 
@@ -94,3 +95,109 @@ def jacques_cycle_betti(n: int) -> dict:
     i, dim = top[n % 3]
     table[(i, n)] = dim
     return table
+
+
+# -- Buchberger, the textbook loop ----------------------------------------------
+
+def _grevlex(mono: tuple):
+    """Sort key: a larger key is a larger monomial in graded reverse lex."""
+    return (sum(mono), tuple(-x for x in reversed(mono)))
+
+
+def _reference_normal_form(f: dict, basis: list, p: int) -> dict:
+    """Full reduction of f, largest term first, each term by the first basis
+    element whose leading monomial divides it.  The divisor list is rebuilt
+    from the basis on every call."""
+    divisors = []
+    for b in basis:
+        lm = max(b, key=_grevlex)
+        divisors.append((lm, pow(b[lm], p - 2, p), b))
+    work = dict(f)
+    remainder = {}
+    while work:
+        mono = max(work, key=_grevlex)
+        coeff = work.pop(mono)
+        for lm, lc_inv, b in divisors:
+            if all(x <= y for x, y in zip(lm, mono)):
+                qm = tuple(y - x for x, y in zip(lm, mono))
+                qc = coeff * lc_inv % p
+                for bm, bc in b.items():
+                    if bm == lm:
+                        continue
+                    mm = tuple(x + y for x, y in zip(qm, bm))
+                    nv = (work.get(mm, 0) - qc * bc) % p
+                    if nv:
+                        work[mm] = nv
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[mono] = coeff
+    return remainder
+
+
+def _monic(f: dict, p: int) -> dict:
+    inv = pow(f[max(f, key=_grevlex)], p - 2, p)
+    return {m: c * inv % p for m, c in f.items()}
+
+
+def reference_buchberger(generators: list, p: int) -> tuple:
+    """Reduced Groebner basis of the ideal of `generators` ({exponent-tuple:
+    coeff} dicts over GF(p)) by the textbook loop: pairs in (lcm degree, i, j)
+    order, coprime pairs counted and skipped, each S-polynomial built from
+    its definition.  Returns (basis as term tuples in descending order,
+    pairs processed)."""
+    basis, pairs = [], []
+
+    def push(f):
+        lm = max(f, key=_grevlex)
+        if not any(lm):
+            return True
+        basis.append(f)
+        j = len(basis) - 1
+        for i in range(j):
+            lmi = max(basis[i], key=_grevlex)
+            heapq.heappush(pairs, (sum(map(max, lmi, lm)), i, j))
+        return False
+
+    processed, unit = 0, False
+    for g in generators:
+        if not g:
+            continue
+        r = _reference_normal_form(g, basis, p)
+        if r and push(_monic(r, p)):
+            unit = True
+            break
+    while pairs and not unit:
+        _, i, j = heapq.heappop(pairs)
+        processed += 1
+        fi, fj = basis[i], basis[j]
+        lmi, lmj = max(fi, key=_grevlex), max(fj, key=_grevlex)
+        lcm = tuple(map(max, lmi, lmj))
+        if lcm == tuple(x + y for x, y in zip(lmi, lmj)):
+            continue
+        s = {}
+        for f, lm, sign in ((fi, lmi, 1), (fj, lmj, -1)):
+            q = tuple(x - y for x, y in zip(lcm, lm))
+            for m, c in f.items():
+                mm = tuple(x + y for x, y in zip(m, q))
+                s[mm] = (s.get(mm, 0) + sign * c) % p
+        r = _reference_normal_form({m: c for m, c in s.items() if c}, basis, p)
+        if r:
+            unit = push(_monic(r, p))
+
+    def terms(f):
+        return tuple(sorted(f.items(), key=lambda t: _grevlex(t[0]), reverse=True))
+
+    if unit:
+        nvars = len(next(m for g in generators for m in g))
+        return ((((0,) * nvars, 1),),), processed
+    minimal = []
+    for f in sorted(basis, key=lambda f: _grevlex(max(f, key=_grevlex))):
+        lm = max(f, key=_grevlex)
+        if not any(all(x <= y for x, y in zip(max(h, key=_grevlex), lm)) for h in minimal):
+            minimal.append(f)
+    reduced = [_monic(_reference_normal_form(f, minimal[:i] + minimal[i + 1:], p), p)
+               for i, f in enumerate(minimal)]
+    reduced.sort(key=lambda f: _grevlex(max(f, key=_grevlex)), reverse=True)
+    return tuple(terms(f) for f in reduced), processed

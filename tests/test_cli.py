@@ -5,6 +5,8 @@ import pytest
 
 from edgeideal import cli, verify
 from edgeideal.cli import main
+from edgeideal.groebner import DegenerateInputError
+from edgeideal.polyalg import DimensionError, FieldMismatchError
 from edgeideal.verify import VerificationReport
 
 
@@ -46,8 +48,9 @@ def test_stci_rejects_non_cycles(capsys):
 
 def test_stci_height_mismatch_raises(capsys, monkeypatch):
     monkeypatch.setattr(cli, "min_vertex_cover_size", lambda g: 2)
-    with pytest.raises(RuntimeError, match="cycle height is 3"):
-        run(capsys, "stci", "--graph", "cycle:5")
+    code, out, err = run(capsys, "stci", "--graph", "cycle:5")
+    assert code == 4 and out == ""
+    assert "internal error: RuntimeError" in err and "cycle height is 3" in err
 
 
 def test_pd_large_prime(capsys):
@@ -133,6 +136,58 @@ def test_verify_line_is_homology_only(capsys):
     doc = json.loads(out)
     assert doc["pd_homology"] == 3 and doc["length"] is None
     assert doc["forward"] == [] and doc["reverse"] == []
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("module, name, exc, argv", [
+    (cli, "projective_dimension", ArithmeticError("negative homology dimension"),
+     ["pd", "--graph", "cycle:5"]),
+    (cli, "betti_table", FieldMismatchError("GF(2) vs GF(3)"), ["betti", "--graph", "cycle:5"]),
+    (verify, "radical_membership", DegenerateInputError("empty generator list"),
+     ["verify", "--graph", "cycle:5"]),
+    (verify, "verify_forward", DimensionError("monomials of ambient dimension 5 vs 6"),
+     ["verify", "--graph", "cycle:5"]),
+    (cli, "sequence_for", ValueError("claimed_length must equal the number of polynomials"),
+     ["sequence", "--graph", "cycle:5"]),
+], ids=["arithmetic", "field-mismatch", "degenerate", "dimension", "value"])
+def test_internal_error_exit_four(capsys, monkeypatch, module, name, exc, argv):
+    # an exception from inside the program is a defect, not a usage error
+    # (exit 2) and not a verification failure (exit 1)
+    monkeypatch.setattr(module, name, _raising(exc))
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert f"internal error: {type(exc).__name__}: {exc}" in err
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pd", "--graph", "line:1"],                           # outside the formula's range
+    ["sequence", "--graph", "line:3"],                     # family without a sequence
+    ["verify", "--graph", "union:cycle:4+line:2"],         # no closed form to certify
+    ["matrix", "--families", "cycle,tree", "--max-vertices", "4"],
+])
+def test_usage_errors_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "usage:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--max-vertices", "-1"],
+    ["matrix", "--max-vertices", "x"],
+    ["matrix", "--homology-limit", "-5"],
+    ["pd", "--graph", "cycle:5", "--homology-limit", "-5"],
+    ["verify", "--graph", "cycle:5", "--homology-limit", "-5"],
+])
+def test_negative_sizes_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_parse_error_exit_two(capsys):

@@ -15,8 +15,8 @@ from edgeideal.groebner import (
     s_polynomial,
 )
 from edgeideal.polyalg import PolyRing, mono_divides, mono_div, mono_lcm
-from edgeideal.sequences import cycle_sequence
-from oracles import monomial_ideal_contains
+from edgeideal.sequences import bicyclic_vertex_sequence, cycle_sequence
+from oracles import monomial_ideal_contains, reference_buchberger
 
 
 def ring(p=32003, n=6):
@@ -168,6 +168,50 @@ def test_reduced_basis_is_canonical():
     forward = buchberger(gens).generators
     backward = buchberger(list(reversed(gens))).generators
     assert forward == backward
+
+
+def _random_system(rng, p):
+    """Either a random ideal with squares in its leading monomials, or a
+    Rabinowitsch system: random squarefree quadrics (or a cycle or bicyclic
+    generator sequence) plus 1 - t*m for a random quadratic monomial m."""
+    kind = rng.choice(["random", "random", "rabinowitsch", "sequence"])
+    if kind == "random":
+        R = PolyRing(p, [f"x{i}" for i in range(rng.randint(2, 4))])
+        return [R.poly({tuple(rng.randint(0, 2) for _ in range(R.nvars)): rng.randrange(1, p)
+                        for _ in range(rng.randint(1, 3))})
+                for _ in range(rng.randint(2, 4))]
+    if kind == "sequence":
+        seq = rng.choice([cycle_sequence(rng.randint(3, 6), modulus=p),
+                          bicyclic_vertex_sequence(3, rng.randint(3, 4), modulus=p)])
+        R, gens = seq.ring, list(seq.polys)
+    else:
+        R = PolyRing(p, [f"x{i}" for i in range(rng.randint(3, 6))])
+        quadrics = [tuple(int(i in pair) for i in range(R.nvars))
+                    for pair in itertools.combinations(range(R.nvars), 2)]
+        gens = [R.poly({m: rng.randrange(1, p) for m in rng.sample(quadrics, rng.randint(1, 3))})
+                for _ in range(rng.randint(2, 4))]
+    ext = R.extend()
+    t = ext.variable(ext.nvars - 1)
+    u, v = rng.sample(range(R.nvars), 2)
+    target = ext.lift(R.term(1, R.monomial(R.names[u], R.names[v])))
+    return [ext.lift(g) for g in gens] + [ext.one() - t * target]
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_buchberger_matches_the_textbook_loop(p):
+    # same reduced basis, same S-pair count and the same budget cut-off as
+    # the reference, on seeded random ideals and Rabinowitsch systems
+    rng = random.Random(p)
+    for _ in range(60):
+        gens = _random_system(rng, p)
+        want_basis, want_pairs = reference_buchberger([dict(g.terms) for g in gens], p)
+        gb = buchberger(gens)
+        assert tuple(g.terms for g in gb) == want_basis
+        assert gb.spairs_processed == want_pairs
+        if want_pairs:
+            with pytest.raises(ResourceLimitError) as err:
+                buchberger(gens, spair_budget=want_pairs - 1)
+            assert err.value.detail["spairs"] == want_pairs
 
 
 def test_budget_exceeded_is_surfaced():

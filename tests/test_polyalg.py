@@ -45,6 +45,17 @@ def test_is_prime_spot_values():
     assert not is_prime(32001) and not is_prime(1)
 
 
+def test_is_prime_against_trial_division_and_strong_pseudoprimes():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert all(is_prime(n) == trial(n) for n in range(20_000))
+    # the least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7
+    # and 2, 3, 5, 7, 11: the first four witnesses do not settle the last two
+    for n in (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747):
+        assert not is_prime(n)
+    assert is_prime(4_294_967_291) and is_prime(1_099_511_627_791)
+
+
 # -- monomial operations ----------------------------------------------------------
 
 def test_monomial_ops_product_divides_lcm():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from edgeideal import verify
@@ -68,6 +71,15 @@ def test_reverse_propagates_budget_with_edge_context():
     assert "edge" in err.value.detail
 
 
+def test_budget_error_keeps_how_far_the_run_got():
+    with pytest.raises(ResourceLimitError) as err:
+        certify("bicyclic:8,10", spair_budget=50)
+    detail = err.value.detail
+    assert detail["edge"] == ("x1", "x2") and detail["modulus"] == 2
+    assert detail["spairs"] == 51
+    assert detail["basis"] > 0 and detail["queued"] > 0
+
+
 # -- verdict logic ------------------------------------------------------------------
 
 def test_verdict_requires_every_bit_and_every_field():
@@ -124,6 +136,21 @@ def test_certify_checks_fields_before_any_work(monkeypatch):
         certify("cycle:4", (2, 4))
     with pytest.raises(ValueError, match="repeated field"):
         certify("cycle:5", (2, 2))
+
+
+GOLDEN_CERTIFY = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "golden_certify.jsonl"
+
+
+@pytest.mark.parametrize("spec", ["bicyclic:8,10", "bicyclic:9,11", "dumbbell:8,1,8", "cycle:40"])
+def test_groebner_stage_matches_the_benchmark_golden(spec):
+    # the benchmark's Groebner-bound instances: S-pair counts, run counts and
+    # reverse bits are pinned to the reports captured by the benchmark
+    golden = [doc for doc in map(json.loads, GOLDEN_CERTIFY.read_text(encoding="utf-8").splitlines())
+              if doc["graph"] == spec]
+    doc = certify(spec, homology_max_vertices=0).to_json_dict()
+    doc["stats"].pop("wall_time_s")
+    assert golden == [doc]
+    assert doc["stats"]["homology"] == "formula-only"
 
 
 def test_certify_formula_only_when_oversized():
