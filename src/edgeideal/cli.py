@@ -17,7 +17,6 @@ import sys
 from .errors import ResourceLimitError, UsageError
 from .formulas import cycle_height, is_stci_cycle, pd_cycle, pd_for_spec
 from .graphs import SpecParseError, build, enumerate_specs, min_vertex_cover_size, parse_spec
-from .groebner import spair_budget_default
 from .homcomplex import betti_table, projective_dimension
 from .polyalg import PrimeField
 from .sequences import sequence_for
@@ -40,12 +39,9 @@ def _emit(obj, fmt: str):
 
 def _parse_fields(text: str) -> tuple[int, ...]:
     try:
-        fields = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise SpecParseError(f"bad field list {text!r}") from None
-    if not fields:
-        raise SpecParseError("empty field list")
-    return fields
+        raise UsageError(f"bad field list {text!r}") from None
 
 
 def _nonnegative_int(text: str) -> int:
@@ -143,12 +139,9 @@ def cmd_matrix(args) -> int:
     specs = enumerate_specs([f.strip() for f in args.families.split(",")],
                             args.max_vertices)
     fields = _parse_fields(args.fields)
-    # read $EDGEIDEAL_SPAIR_BUDGET now, so a bad value fails before any row
-    budget = args.spair_budget if args.spair_budget is not None else spair_budget_default()
-
     any_fail = False
     for spec in specs:
-        report = certify(spec, fields, spair_budget=budget,
+        report = certify(spec, fields, spair_budget=args.spair_budget,
                          homology_max_vertices=args.homology_limit)
         row = {
             "graph": report.graph_spec, "case": report.stats["case"],

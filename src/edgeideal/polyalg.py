@@ -332,12 +332,6 @@ class Polynomial:
     def scale(self, coeff: int) -> "Polynomial":
         return Polynomial(self.ring, {m: c * coeff for m, c in self.terms})
 
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        inv = self.ring.field.inv(self.leading_coeff())
-        return self.scale(inv)
-
     # -- rendering
 
     def __str__(self):

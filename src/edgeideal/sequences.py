@@ -5,16 +5,17 @@ equal to the projective dimension of its edge ideal; the sequence generates
 the edge ideal up to radical, witnessing the arithmetical-rank upper bound.
 
 Cycle sequences are emitted directly.  The two bicyclic families are driven
-by case tables shipped as JSON data (one row per congruence pattern), each
-row a layout in a tiny DSL:
+by case tables below, one row per congruence pattern of the cycle lengths
+(and of the path length k).  A row's layout is a function of
 
-    A[i], B[i]      one generator of the m-role / n-role cycle sequence
-    A[i..j]         the inclusive slice (empty when i > j); r and s denote
-                    the last indices of A and B
-    P[i]            the path edge z_i z_{i+1}; z_0 and z_{k+1} are the hubs
-    X+Y             the sum of two entries, merged into one generator
-    chain(a, j)     j pairs P[a+3t], P[a+3t-1]+P[a+3t+1] covering a run of
-                    path edges; j = 0 instantiates the template at small k
+    A, B    the generator lists of the m-role and n-role cycle sequences
+    P(i)    the path edge z_i z_{i+1}, as a one-edge generator; z_0 and
+            z_{k+1} are the hubs of the m-role and n-role cycles
+    k       the number of internal path vertices
+
+and a generator is a list of edges, so `X + Y` merges two generators.  An
+input whose residues match no row is served by the row for the swapped
+residues, with the two cycle roles exchanged and the path reversed.
 
 Every emitted sequence is checked at build time: its terms must cover the
 edge set exactly and its length must match the closed-form value.
@@ -22,22 +23,21 @@ edge set exactly and its length must match the closed-form value.
 
 from __future__ import annotations
 
-import ast
-import json
-import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
-from importlib import resources
 
 from .errors import UsageError
 from .formulas import pd_cycle, pd_for_spec
 from .graphs import FamilySpec, Graph, build, ring_of
-from .polyalg import Mono, Polynomial, PolyRing, mono_divides
+from .polyalg import Mono, Polynomial, PolyRing, mono_divides, poly_to_json
 
 DEFAULT_SEQUENCE_MODULUS = 32003
 
 Edge = tuple[str, str]
 FormalPoly = list[Edge]
+# a case-table row's layout: the generator sequence from A, B, P and k
+Layout = Callable[[list[FormalPoly], list[FormalPoly], Callable[[int], FormalPoly], int],
+                  list[FormalPoly]]
 
 
 class TemplateError(RuntimeError):
@@ -63,7 +63,6 @@ class GeneratorSequence:
         return self.polys[0].ring
 
     def to_json_dict(self) -> dict:
-        from .polyalg import poly_to_json
         return {
             "graph": str(self.spec),
             "case": self.case_tag,
@@ -138,204 +137,140 @@ def cycle_sequence(n: int, modulus: int = DEFAULT_SEQUENCE_MODULUS) -> Generator
     return _finish(spec, graph, case, formal, modulus)
 
 
-# -- layout DSL ----------------------------------------------------------------
+# -- bicyclic case tables ----------------------------------------------------------
 
-_ATOM_RE = re.compile(r"^([ABP])\[([^\]]+)\]$")
-_RANGE_RE = re.compile(r"^([AB])\[([^.\]]+)\.\.([^.\]]+)\]$")
-_CHAIN_RE = re.compile(r"^chain\((.+)\)$")
-
-
-def _eval_index(text: str, env: dict[str, int]) -> int:
-    """Evaluate an integer index expression over the names r, s, k."""
-    def ev(node):
-        if isinstance(node, ast.BinOp):
-            a, b = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if isinstance(node.op, ast.Div):
-                q, rem = divmod(a, b)
-                if rem:
-                    raise TemplateError(f"inexact division in index {text!r}")
-                return q
-            raise TemplateError(f"unsupported operator in {text!r}")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return -ev(node.operand)
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return node.value
-        if isinstance(node, ast.Name) and node.id in env:
-            return env[node.id]
-        raise TemplateError(f"unsupported index expression {text!r}")
-    return ev(ast.parse(text, mode="eval").body)
+def _fold(X: list[FormalPoly], extra: FormalPoly) -> list[FormalPoly]:
+    """X with `extra` merged into its last generator, which moves third."""
+    return [X[0], X[1], X[-1] + extra, *X[2:-1]]
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on `sep` outside brackets and parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
+def _hang(X: list[FormalPoly], end: FormalPoly, inner: FormalPoly) -> list[FormalPoly]:
+    """The path edge `end` at X's hub, then the next path edge `inner`
+    merged into X's first generator."""
+    return [end, inner + X[0], *X[1:]]
 
 
-def _expand_layout(layout: list[str], qa: list[FormalPoly], qb: list[FormalPoly],
-                   path_edge, k: int) -> list[FormalPoly]:
-    env = {"r": len(qa) - 1, "s": len(qb) - 1, "k": k}
-
-    def pedge(i: int) -> Edge:
-        if not 0 <= i <= k:
-            raise TemplateError(f"path edge index {i} out of range 0..{k}")
-        return path_edge(i)
-
-    def atom(text: str) -> FormalPoly:
-        m = _ATOM_RE.match(text)
-        if not m:
-            raise TemplateError(f"bad atom {text!r}")
-        kind, expr = m.groups()
-        i = _eval_index(expr, env)
-        if kind == "P":
-            return [pedge(i)]
-        seq = qa if kind == "A" else qb
-        if not 0 <= i < len(seq):
-            raise TemplateError(f"{kind}[{i}] out of range")
-        return list(seq[i])
-
-    out: list[FormalPoly] = []
-    for item in layout:
-        item = item.strip()
-        m = _CHAIN_RE.match(item)
-        if m:
-            args = _split_top(m.group(1), ",")
-            if len(args) != 2:
-                raise TemplateError(f"chain takes two arguments: {item!r}")
-            a = _eval_index(args[0], env)
-            npairs = _eval_index(args[1], env)
-            if npairs < 0:
-                raise TemplateError(f"negative chain length in {item!r}")
-            for t in range(npairs):
-                base = a + 3 * t
-                out.append([pedge(base)])
-                out.append([pedge(base - 1), pedge(base + 1)])
-            continue
-        m = _RANGE_RE.match(item)
-        if m:
-            kind, lo, hi = m.groups()
-            seq = qa if kind == "A" else qb
-            start, stop = _eval_index(lo, env), _eval_index(hi, env)
-            if start < 0 or stop >= len(seq):
-                raise TemplateError(f"range {item!r} outside 0..{len(seq) - 1}")
-            for i in range(start, stop + 1):
-                out.append(list(seq[i]))
-            continue
-        pieces = _split_top(item, "+")
-        merged: FormalPoly = []
-        for piece in pieces:
-            merged.extend(atom(piece))
-        out.append(merged)
+def _chain(P: Callable[[int], FormalPoly], a: int, j: int) -> list[FormalPoly]:
+    """j pairs P(a+3t), P(a+3t-1) + P(a+3t+1) covering a run of path edges;
+    j = 0 emits nothing, which instantiates a layout at small k."""
+    out = []
+    for t in range(j):
+        b = a + 3 * t
+        out += [P(b), P(b - 1) + P(b + 1)]
     return out
 
 
-@lru_cache(maxsize=None)
-def _case_rows(name: str) -> tuple[dict, ...]:
-    raw = resources.files("edgeideal.data").joinpath(name).read_text()
-    return tuple(json.loads(raw)["rows"])
+# two cycles sharing a vertex: (m % 3, n % 3) -> (case tag, layout)
+_VERTEX_JOIN: dict[tuple[int, int], tuple[str, Layout]] = {
+    (2, 0): ("vertex-join |V|≡1, m≡2, n≡0", lambda A, B, P, k: A + B),
+    (1, 1): ("vertex-join |V|≡1, m≡1, n≡1, merged", lambda A, B, P, k: _fold(A, B[0]) + B[1:]),
+    (2, 2): ("vertex-join |V|≡0, m≡2, n≡2", lambda A, B, P, k: A + B),
+    (1, 0): ("vertex-join |V|≡0, m≡1, n≡0, merged", lambda A, B, P, k: _fold(A, B[0]) + B[1:]),
+    (0, 0): ("vertex-join |V|≡2, m≡0, n≡0", lambda A, B, P, k: A + B),
+    (1, 2): ("vertex-join |V|≡2, m≡1, n≡2, merged", lambda A, B, P, k: _fold(A, B[0]) + B[1:]),
+}
 
-
-def _pick_row(rows, want_m: int, want_n: int, extra=None) -> tuple[dict, bool]:
-    """Row matching the residues directly, else the role-swapped row."""
-    def ok(row, mm, nn):
-        if row["m_mod"] != mm or row["n_mod"] != nn:
-            return False
-        return extra is None or extra(row)
-    for row in rows:
-        if ok(row, want_m, want_n):
-            return row, False
-    for row in rows:
-        if ok(row, want_n, want_m):
-            return row, True
-    raise TemplateError(f"no case row for residues ({want_m}, {want_n})")
+# two cycles joined by a path with k internal vertices: keyed by "bridge"
+# (k = 0) or k % 3, then (m % 3, n % 3) -> (case tag, layout)
+_PATH_JOIN: dict[int | str, dict[tuple[int, int], tuple[str, Layout]]] = {
+    2: {
+        (1, 1): ("path-join k≡2, m≡1, n≡1", lambda A, B, P, k:
+                 _fold(A, P(0)) + _hang(B, P(k), P(k - 1)) + _chain(P, 2, (k - 2) // 3)),
+        (0, 1): ("path-join k≡2, m≡0, n≡1", lambda A, B, P, k:
+                 _fold(B, P(k)) + _hang(A, P(0), P(1)) + _chain(P, 3, (k - 2) // 3)),
+        (2, 1): ("path-join k≡2, m≡2, n≡1", lambda A, B, P, k:
+                 _hang(A, P(0), P(1)) + _chain(P, 3, (k - 2) // 3) + _fold(B, P(k))),
+        (0, 2): ("path-join k≡2, m≡0, n≡2", lambda A, B, P, k:
+                 B + A + _chain(P, 1, (k + 1) // 3)),
+        (2, 2): ("path-join k≡2, m≡2, n≡2", lambda A, B, P, k:
+                 A + B + _chain(P, 1, (k + 1) // 3)),
+        (0, 0): ("path-join k≡2, m≡0, n≡0", lambda A, B, P, k:
+                 B + A + _chain(P, 1, (k + 1) // 3)),
+    },
+    "bridge": {
+        (1, 1): ("path-join bridge, m≡1, n≡1", lambda A, B, P, k: _fold(A, P(0)) + B),
+        (2, 1): ("path-join bridge, m≡2, n≡1", lambda A, B, P, k: _fold(B, P(0)) + A),
+        (0, 1): ("path-join bridge, m≡0, n≡1", lambda A, B, P, k: _fold(B, P(0)) + A),
+        (0, 2): ("path-join bridge, m≡0, n≡2", lambda A, B, P, k:
+                 [P(0), A[0] + B[0], *A[1:], *B[1:]]),
+        (2, 2): ("path-join bridge, m≡2, n≡2", lambda A, B, P, k:
+                 [P(0), A[0] + B[0], *A[1:], *B[1:]]),
+        (0, 0): ("path-join bridge, m≡0, n≡0", lambda A, B, P, k:
+                 [P(0), A[0] + B[0], *A[1:], *B[1:]]),
+    },
+    0: {
+        (1, 1): ("path-join k≡0, m≡1, n≡1", lambda A, B, P, k:
+                 _fold(A, P(0)) + _chain(P, 2, k // 3) + B),
+        (2, 1): ("path-join k≡0, m≡2, n≡1", lambda A, B, P, k:
+                 _fold(B, P(k)) + _chain(P, 1, k // 3) + A),
+        (0, 1): ("path-join k≡0, m≡0, n≡1", lambda A, B, P, k:
+                 _fold(B, P(k)) + _chain(P, 1, k // 3) + A),
+        (0, 2): ("path-join k≡0, m≡0, n≡2", lambda A, B, P, k:
+                 _hang(A, P(0), P(1)) + _chain(P, 3, (k - 3) // 3) + _hang(B, P(k), P(k - 1))),
+        (2, 2): ("path-join k≡0, m≡2, n≡2", lambda A, B, P, k:
+                 _hang(B, P(k), P(k - 1)) + _hang(A, P(0), P(1)) + _chain(P, 3, (k - 3) // 3)),
+        (0, 0): ("path-join k≡0, m≡0, n≡0", lambda A, B, P, k:
+                 _hang(A, P(0), P(1)) + _chain(P, 3, (k - 3) // 3) + _hang(B, P(k), P(k - 1))),
+    },
+    1: {
+        (0, 1): ("path-join k≡1, m≡0, n≡1", lambda A, B, P, k:
+                 B + _hang(A, P(0), P(1)) + _chain(P, 3, (k - 1) // 3)),
+        (2, 1): ("path-join k≡1, m≡2, n≡1", lambda A, B, P, k:
+                 _hang(A, P(0), P(1)) + _chain(P, 3, (k - 1) // 3) + B),
+        (1, 1): ("path-join k≡1, m≡1, n≡1", lambda A, B, P, k:
+                 _fold(A, P(0)) + _fold(B, P(k)) + _chain(P, 2, (k - 1) // 3)),
+        (2, 0): ("path-join k≡1, m≡2, n≡0", lambda A, B, P, k:
+                 _hang(A, P(0), P(1)) + _chain(P, 3, (k - 1) // 3) + B),
+        (2, 2): ("path-join k≡1, m≡2, n≡2", lambda A, B, P, k:
+                 A + _hang(B, P(k), P(k - 1)) + _chain(P, 1, (k - 1) // 3)),
+        (0, 0): ("path-join k≡1, m≡0, n≡0", lambda A, B, P, k:
+                 _hang(A, P(0), P(1)) + _chain(P, 3, (k - 1) // 3) + B),
+    },
+}
 
 
 # -- bicyclic sequences ----------------------------------------------------------
 
+def _joined_sequence(spec: FamilySpec, table: dict[tuple[int, int], tuple[str, Layout]],
+                     k: int, y1: str, modulus: int) -> GeneratorSequence:
+    """Cycles x1..xm and y1..yn (y1 labelled `y1`: x1 when they share a
+    vertex) joined through z1..zk, laid out by `table`'s row for
+    (m % 3, n % 3), else by the row for (n % 3, m % 3) with the two cycle
+    roles exchanged and the path reversed."""
+    graph = build(spec)
+    m, n = spec.params[0], spec.params[-1]
+    swapped = (m % 3, n % 3) not in table
+    case, layout = table[(n % 3, m % 3) if swapped else (m % 3, n % 3)]
+    qx = _cycle_formal_polys(m, lambda j: f"x{j}")
+    qy = _cycle_formal_polys(n, lambda j: y1 if j == 1 else f"y{j}")
+
+    def vertex(i):
+        return "x1" if i == 0 else y1 if i == k + 1 else f"z{i}"
+
+    def P(i: int) -> FormalPoly:
+        if not 0 <= i <= k:
+            raise TemplateError(f"path edge index {i} out of range 0..{k}")
+        if swapped:
+            i = k - i
+        return [(vertex(i), vertex(i + 1))]
+
+    A, B = (qy, qx) if swapped else (qx, qy)
+    case += ", roles swapped" if swapped else ""
+    return _finish(spec, graph, case, layout(A, B, P, k), modulus)
+
+
 def bicyclic_vertex_sequence(m: int, n: int,
                              modulus: int = DEFAULT_SEQUENCE_MODULUS) -> GeneratorSequence:
     """Radical generators for two cycles (lengths m, n) sharing the vertex x1."""
-    spec = FamilySpec("bicyclic", (m, n))
-    graph = build(spec)
-    row, swapped = _pick_row(_case_rows("vertex_join_cases.json"), m % 3, n % 3)
-
-    def x_vertex(j):
-        return f"x{j}"
-
-    def y_vertex(j):
-        return "x1" if j == 1 else f"y{j}"
-
-    if not swapped:
-        qa = _cycle_formal_polys(m, x_vertex)
-        qb = _cycle_formal_polys(n, y_vertex)
-    else:
-        qa = _cycle_formal_polys(n, y_vertex)
-        qb = _cycle_formal_polys(m, x_vertex)
-
-    formal = _expand_layout(row["layout"], qa, qb, _no_path_edges, 0)
-    case = row["case"] + (", roles swapped" if swapped else "")
-    return _finish(spec, graph, case, formal, modulus)
-
-
-def _no_path_edges(i: int) -> Edge:
-    raise TemplateError("vertex-join layouts have no path edges")
+    return _joined_sequence(FamilySpec("bicyclic", (m, n)), _VERTEX_JOIN, 0, "x1", modulus)
 
 
 def dumbbell_sequence(m: int, k: int, n: int,
                       modulus: int = DEFAULT_SEQUENCE_MODULUS) -> GeneratorSequence:
     """Radical generators for two cycles (lengths m, n) joined by a path with
     k internal vertices (k = 0 is the bridge edge x1 y1)."""
-    spec = FamilySpec("dumbbell", (m, k, n))
-    graph = build(spec)
-
-    def extra(row):
-        if row["k_bridge"] is None:
-            return True
-        return row["k_bridge"] == (k == 0)
-
-    rows = [row for row in _case_rows("path_join_cases.json") if row["k_mod"] == k % 3]
-    row, swapped = _pick_row(rows, m % 3, n % 3, extra)
-
-    def path_vertex(i):
-        if i == 0:
-            return "x1"
-        if i == k + 1:
-            return "y1"
-        return f"z{i}"
-
-    if not swapped:
-        qa = _cycle_formal_polys(m, lambda j: f"x{j}")
-        qb = _cycle_formal_polys(n, lambda j: f"y{j}")
-
-        def path_edge(i):
-            return (path_vertex(i), path_vertex(i + 1))
-    else:
-        qa = _cycle_formal_polys(n, lambda j: f"y{j}")
-        qb = _cycle_formal_polys(m, lambda j: f"x{j}")
-
-        def path_edge(i):
-            return (path_vertex(k + 1 - i), path_vertex(k - i))
-
-    formal = _expand_layout(row["layout"], qa, qb, path_edge, k)
-    case = row["case"] + (", roles swapped" if swapped else "")
-    return _finish(spec, graph, case, formal, modulus)
+    table = _PATH_JOIN["bridge" if k == 0 else k % 3]
+    return _joined_sequence(FamilySpec("dumbbell", (m, k, n)), table, k, "y1", modulus)
 
 
 def sequence_for(spec: FamilySpec, modulus: int = DEFAULT_SEQUENCE_MODULUS) -> GeneratorSequence:

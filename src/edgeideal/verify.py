@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .errors import ResourceLimitError, UsageError
 from .formulas import pd_for_spec
 from .graphs import FamilySpec, Graph, build, edge_ideal, parse_spec, ring_of
-from .groebner import GroebnerStats, radical_membership
+from .groebner import GroebnerStats, radical_membership, spair_budget_default
 from .homcomplex import projective_dimension
 from .polyalg import PrimeField, mono_divides
 from .sequences import GeneratorSequence, sequence_for
@@ -131,13 +131,18 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
         raise UsageError(f"no closed-form projective dimension for {spec}")
     if not fields:
         raise UsageError("certify needs at least one field")
-    # a bad or repeated modulus fails before any field's work
+    # a bad or repeated modulus, or a bad S-pair budget (the argument, else
+    # $EDGEIDEAL_SPAIR_BUDGET), fails before any field's work
     try:
         moduli = [PrimeField(int(p)).p for p in fields]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if len(set(moduli)) != len(moduli):
         raise UsageError(f"repeated field in {list(fields)}")
+    if spair_budget is None:
+        spair_budget = spair_budget_default()
+    if not isinstance(spair_budget, int) or spair_budget < 0:
+        raise UsageError(f"S-pair budget must be a non-negative integer, got {spair_budget!r}")
 
     stats = GroebnerStats()
     started = time.perf_counter()

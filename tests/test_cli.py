@@ -123,6 +123,7 @@ def test_bad_spair_budget_option_exit_two(capsys, value):
     ("-1", ["verify", "--graph", "cycle:4"]),
     ("abc", ["verify", "--graph", "cycle:4"]),
     ("abc", ["matrix", "--families", "line,bicyclic", "--max-vertices", "5"]),
+    ("abc", ["verify", "--graph", "line:4"]),
 ])
 def test_bad_spair_budget_env_exit_two(capsys, monkeypatch, value, argv):
     monkeypatch.setenv("EDGEIDEAL_SPAIR_BUDGET", value)

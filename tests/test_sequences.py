@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from edgeideal.formulas import pd_for_spec
-from edgeideal.graphs import edge_ideal, parse_spec
+from edgeideal.graphs import edge_ideal, enumerate_specs, parse_spec
 from edgeideal.polyalg import mono_divides
 from edgeideal.sequences import (
     GeneratorSequence,
@@ -165,6 +168,21 @@ def test_length_matches_formula_and_terms_are_edges(spec_text):
     for poly in seq.polys:
         for m in poly.monomials():
             assert any(mono_divides(e, m) for e in gens)
+
+
+GOLDEN_SEQUENCES = Path(__file__).resolve().parent / "data" / "sequences16.jsonl"
+
+
+def test_sequences_match_the_golden():
+    # every cycle, bicyclic and dumbbell instance up to 16 vertices, one line
+    # [spec, case tag, generators] each, captured before the case tables
+    # moved from JSON data into sequences.py
+    got = []
+    for spec in enumerate_specs(["cycle", "bicyclic", "dumbbell"], 16):
+        seq = sequence_for(spec)
+        got.append(json.dumps([str(spec), seq.case_tag, [str(q) for q in seq.polys]],
+                              ensure_ascii=False))
+    assert got == GOLDEN_SEQUENCES.read_text(encoding="utf-8").splitlines()
 
 
 def test_sequence_json_schema():

@@ -1,6 +1,6 @@
-"""Long-path and large-cycle instances that drive every case-table layout
-with nonempty chain blocks (one and two emitted pairs), beyond the small
-grid the acceptance suite sweeps.
+"""Coverage of the bicyclic case tables, and long-path and large-cycle
+instances that run path-join layouts with nonempty chain blocks (one to
+three emitted pairs), beyond the small grid the acceptance suite sweeps.
 
 Radical certificates run over GF(2); instances small enough for the Betti
 computation also cross-check the homology projective dimension.
@@ -9,9 +9,29 @@ computation also cross-check the homology projective dimension.
 import pytest
 
 from edgeideal.formulas import pd_for_spec
-from edgeideal.graphs import build, parse_spec
+from edgeideal.graphs import build, enumerate_specs, parse_spec
 from edgeideal.homcomplex import projective_dimension
+from edgeideal.sequences import _PATH_JOIN, _VERTEX_JOIN, sequence_for
 from edgeideal.verify import certify
+
+CASE_TABLES = {"vertex join": _VERTEX_JOIN,
+               **{f"path join {key}": table for key, table in _PATH_JOIN.items()}}
+
+
+@pytest.mark.parametrize("name", CASE_TABLES)
+def test_every_residue_pair_resolves_to_a_row(name):
+    table = CASE_TABLES[name]
+    for a in range(3):
+        for b in range(3):
+            assert (a, b) in table or (b, a) in table, (a, b)
+
+
+def test_every_case_row_is_selected_up_to_16_vertices():
+    rows = {case for table in CASE_TABLES.values() for case, _ in table.values()}
+    assert len(rows) == 30
+    selected = {sequence_for(spec).case_tag.removesuffix(", roles swapped")
+                for spec in enumerate_specs(["bicyclic", "dumbbell"], 16)}
+    assert selected == rows
 
 # (spec, residues and chain sizes the row exercises)
 LONG_PATH_SPECS = [

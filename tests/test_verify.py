@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from edgeideal import verify
-from edgeideal.errors import ResourceLimitError
+from edgeideal.errors import ResourceLimitError, UsageError
 from edgeideal.graphs import build_from_string, parse_spec, ring_of
 from edgeideal.sequences import GeneratorSequence, cycle_sequence
 from edgeideal.verify import (
@@ -136,6 +136,8 @@ def test_certify_checks_fields_before_any_work(monkeypatch):
         certify("cycle:4", (2, 4))
     with pytest.raises(ValueError, match="repeated field"):
         certify("cycle:5", (2, 2))
+    with pytest.raises(UsageError, match="S-pair budget"):
+        certify("cycle:5", spair_budget=-1)
 
 
 GOLDEN_CERTIFY = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "golden_certify.jsonl"
