@@ -117,7 +117,7 @@ def parse_spec(text: str) -> FamilySpec:
     if not sep or kind not in _ARITY:
         raise SpecParseError(f"unknown graph spec {text!r}")
     try:
-        params = tuple(int(tok) for tok in rest.split(","))
+        params = tuple(map(int, rest.split(",")))
     except ValueError:
         raise SpecParseError(f"non-integer parameter in {text!r}") from None
     if len(params) != _ARITY[kind]:

@@ -11,7 +11,12 @@ Cor. 5.12) gives the graded Betti numbers of the edge ideal of G as
 
 so the Betti table, whose top homological index is the projective dimension,
 is computed from the small independence complexes of connected induced
-subgraphs, combined across components by the Kuenneth rule for joins.
+subgraphs, combined across components by the Kuenneth rule for joins.  The
+subsets W are walked directly: only those that leave no vertex of G[W]
+isolated, as the others give cones.  Each subgraph is first folded
+(Engstrom's lemma: a vertex whose neighbourhood contains another vertex's
+neighbourhood can be deleted without changing the homotopy type of Ind), and
+faces are built only for what cannot fold further.
 
 Homology is computed from boundary-matrix ranks over the chosen prime field:
 one sparse exact reducer for every prime, reduced top-down with clearing.
@@ -241,8 +246,53 @@ class BettiTable:
                 for (i, d) in sorted(self.entries)]
 
 
-def _independence_homology(mask: int, nbr: list[int], p: int) -> dict[int, int]:
-    """Reduced homology of Ind(G[mask]), the complex of independent sets."""
+def _components(mask: int, nbr: list[int]) -> Iterator[int]:
+    """Vertex masks of the connected components of G[mask]."""
+    while mask:
+        comp, frontier = 0, mask & -mask
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            comp |= 1 << v
+            frontier = (frontier | nbr[v] & mask) & ~comp
+        mask &= ~comp
+        yield comp
+
+
+def _fold(mask: int, nbr: list[int]) -> int:
+    """Vertices left of G[mask] once no vertex can fold, or 0 when one is
+    left without a neighbour.
+
+    If N(u) lies inside N(w) for distinct vertices u and w, then Ind(G) and
+    Ind(G - w) are homotopy equivalent (Engstrom, Independence complexes of
+    claw-free graphs, Eur. J. Combin. 29 (2008), Lemma 3.2).  Every such w
+    is a neighbour of all of N(u) and not adjacent to u, so all of them go
+    at once.  A vertex with no neighbour makes Ind(G) a cone.
+    """
+    folded = True
+    while folded:
+        folded = False
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not low & mask:
+                continue  # folded away earlier in this pass
+            around = nbr[low.bit_length() - 1] & mask
+            if not around:
+                return 0
+            dominated = mask ^ low
+            while around and dominated:
+                x = around & -around
+                dominated &= nbr[x.bit_length() - 1]
+                around ^= x
+            if dominated:
+                mask ^= dominated
+                folded = True
+    return mask
+
+
+def _independence_homology_unfolded(mask: int, nbr: list[int], p: int) -> dict[int, int]:
+    """Reduced homology of Ind(G[mask]) from all of its faces."""
     faces = [0]
     m = mask
     while m:
@@ -250,6 +300,79 @@ def _independence_homology(mask: int, nbr: list[int], p: int) -> dict[int, int]:
         faces += [f | 1 << v for f in faces if not f & nbr[v]]
         m &= m - 1
     return _homology_from_faces(faces, p)
+
+
+def _independence_homology(mask: int, nbr: list[int], p: int,
+                           known: dict[int, dict[int, int]] | None = None) -> dict[int, int]:
+    """Reduced homology of Ind(G[mask]), the complex of independent sets.
+
+    G[mask] is folded first, which keeps the homotopy type and so the
+    homology over every field; faces are built only for the components of
+    what is left, and their homology is joined.  `known` maps connected
+    vertex masks to their homology; it is read and filled.
+    """
+    if known is None:
+        known = {}
+    core = _fold(mask, nbr)
+    if not core:
+        return {}
+    profile = {-1: 1}
+    for comp in _components(core, nbr):
+        part = known.get(comp)
+        if part is None:
+            part = known[comp] = _independence_homology_unfolded(comp, nbr, p)
+        profile = _join(profile, part)
+    return profile
+
+
+def _masks_without_isolated_vertex(nbr: list[int]) -> Iterator[int]:
+    """Every nonempty vertex mask of the graph in which each vertex has a
+    neighbour, each once.
+
+    Vertices are decided in BFS order, left out or taken in.  A vertex is
+    checked as soon as it and all of its neighbours are decided, so a branch
+    ends at its first isolated vertex.  Every branch still open can be
+    completed by taking in the undecided neighbours of its vertices, so the
+    walk visits at most n nodes per mask it yields.
+    """
+    n = len(nbr)
+    order: list[int] = []
+    seen = 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        order.append(root)
+        i = len(order) - 1
+        while i < len(order):
+            new = nbr[order[i]] & ~seen
+            seen |= new
+            while new:
+                order.append((new & -new).bit_length() - 1)
+                new &= new - 1
+            i += 1
+    # checks[i]: (bit, neighbours) of each vertex whose neighbourhood is
+    # fully decided once order[i] is
+    position = {v: i for i, v in enumerate(order)}
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for v in range(n):
+        last = max([position[v]] + [position[w] for w in range(n) if nbr[v] >> w & 1])
+        checks[last].append((1 << v, nbr[v]))
+
+    stack = [(0, 0)]
+    while stack:
+        i, mask = stack.pop()
+        if i == n:
+            if mask:
+                yield mask
+            continue
+        bit = 1 << order[i]
+        for m in (mask, mask | bit):
+            for v, around in checks[i]:
+                if m & v and not m & around:
+                    break
+            else:
+                stack.append((i + 1, m))
 
 
 def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -267,10 +390,11 @@ def betti_table(g: Graph, fld) -> BettiTable:
 
     Hochster's formula, read on the Alexander dual of each edge-complement
     complex (the independence complex): beta_{j,d} is the sum over d-subsets
-    W of dim H~_{d-j-1}(Ind(G[W])).  Subsets leaving a vertex isolated are
-    skipped, as their complexes are cones.  Ind of a disjoint union is the
-    join of the parts' Ind complexes, so only connected induced subgraphs
-    are reduced, each once per call.
+    W of dim H~_{d-j-1}(Ind(G[W])).  Subsets leaving a vertex isolated give
+    cones and are never visited: a backtracking walk yields only the others.
+    Ind of a disjoint union is the join of the parts' Ind complexes, so only
+    connected induced subgraphs are reduced, each once per call, after
+    folding away every dominated vertex.
     """
     p = _modulus(fld)
     n = g.nvertices
@@ -286,25 +410,16 @@ def betti_table(g: Graph, fld) -> BettiTable:
 
     component_homology: dict[int, dict[int, int]] = {}
     entries: dict[tuple[int, int], int] = {}
-    for mask in range(1, 1 << n):
-        rest = mask
-        while rest and nbr[(rest & -rest).bit_length() - 1] & mask:
-            rest &= rest - 1
-        if rest:
-            continue  # an isolated vertex
+    for mask in _masks_without_isolated_vertex(nbr):
         profile = {-1: 1}
-        rest = mask
-        while rest and profile:
-            comp, frontier = 0, rest & -rest
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                comp |= 1 << v
-                frontier = (frontier | nbr[v] & mask) & ~comp
-            rest &= ~comp
+        for comp in _components(mask, nbr):
             part = component_homology.get(comp)
             if part is None:
-                part = component_homology[comp] = _independence_homology(comp, nbr, p)
+                part = component_homology[comp] = _independence_homology(
+                    comp, nbr, p, component_homology)
             profile = _join(profile, part)
+            if not profile:
+                break
         d = mask.bit_count()
         for k, dim in profile.items():
             key = (d - k - 1, d)

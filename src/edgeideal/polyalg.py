@@ -216,8 +216,13 @@ class PolyRing:
             raise DimensionError("source ring is not a prefix of the target ring")
         if src.modulus != self.modulus:
             raise FieldMismatchError(f"GF({src.modulus}) vs GF({self.modulus})")
+        # trailing zero exponents change neither grevlex comparisons nor the
+        # reduced coefficients, so the terms stay valid as they are padded
         pad = (0,) * (self.nvars - src.nvars)
-        return Polynomial(self, {m + pad: c for m, c in poly.terms})
+        out = object.__new__(Polynomial)
+        object.__setattr__(out, "ring", self)
+        object.__setattr__(out, "terms", tuple((m + pad, c) for m, c in poly.terms))
+        return out
 
     def convert(self, poly: "Polynomial") -> "Polynomial":
         """Reinterpret a polynomial over the same variables in this ring's field."""

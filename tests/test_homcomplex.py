@@ -1,4 +1,7 @@
+import itertools
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -81,11 +84,13 @@ def test_epsilon_cycle4_is_a_circle(p):
     assert reduced_homology_dims(c, p) == {1: 1}
 
 
+# the 6-vertex real projective plane: H_1 = Z/2, so GF(2) sees H~_1 and H~_2,
+# and odd characteristic sees nothing
+RP2_FACETS = ("123", "134", "145", "156", "162", "235", "346", "452", "563", "624")
+
+
 def test_rp2_homology_depends_on_characteristic():
-    # the 6-vertex real projective plane: H_1 = Z/2, so GF(2) sees H~_1 and
-    # H~_2, and odd characteristic sees nothing
-    facets = ("123", "134", "145", "156", "162", "235", "346", "452", "563", "624")
-    c = SimplicialComplex(tuple("123456"), tuple(frozenset(f) for f in facets))
+    c = SimplicialComplex(tuple("123456"), tuple(frozenset(f) for f in RP2_FACETS))
     assert reduced_homology_dims(c, 2) == {1: 1, 2: 1}
     assert reduced_homology_dims(c, 3) == {}
     assert reduced_homology_dims(c, 32003) == {}
@@ -99,6 +104,95 @@ def test_negative_homology_dimension_raises(monkeypatch):
         reduced_homology_dims(epsilon_complex(build_from_string("cycle:4")), 3)
     with pytest.raises(ArithmeticError, match="negative homology dimension"):
         betti_table(build_from_string("cycle:4"), 3)
+
+
+# -- folding and the mask walk -------------------------------------------------------
+
+def neighbour_masks(n, edges):
+    nbr = [0] * n
+    for i, j in edges:
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    return nbr
+
+
+def random_neighbour_masks(rng, max_vertices):
+    """A random graph on 1..max_vertices vertices, as neighbour masks; sparse
+    draws leave isolated vertices and several components."""
+    n = rng.randint(1, max_vertices)
+    density = rng.choice((0.1, 0.25, 0.4, 0.6, 0.8))
+    return neighbour_masks(n, [(i, j) for i, j in itertools.combinations(range(n), 2)
+                               if rng.random() < density])
+
+
+def rp2_flag_neighbour_masks():
+    """A graph whose independence complex is homotopy equivalent to the
+    6-vertex RP^2.  One vertex per face of RP^2, adjacent when neither face
+    contains the other, so independent sets are chains of faces and Ind is
+    the barycentric subdivision, which does not fold.  Each of the six
+    vertices of RP^2 also gets a twin with the same neighbours, which folds
+    away."""
+    faces = sorted({frozenset(sub) for f in RP2_FACETS
+                    for k in (1, 2, 3) for sub in itertools.combinations(f, k)},
+                   key=lambda f: (len(f), sorted(f)))
+    nbr = neighbour_masks(len(faces), [
+        (i, j) for (i, a), (j, b) in itertools.combinations(enumerate(faces), 2)
+        if not (a <= b or b <= a)])
+    for v in range(6):
+        twin = len(nbr)
+        nbr.append(nbr[v])
+        for w in range(twin):
+            if nbr[v] >> w & 1:
+                nbr[w] |= 1 << twin
+    return nbr
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_folding_keeps_independence_homology(p):
+    rng = random.Random(f"fold/{p}")
+    partly_folded = 0
+    for _ in range(300):
+        nbr = random_neighbour_masks(rng, 10)
+        full = (1 << len(nbr)) - 1
+        partly_folded += homcomplex._fold(full, nbr) not in (0, full)
+        for mask in (full, rng.randrange(1, full + 1)):
+            assert homcomplex._independence_homology(mask, nbr, p) == \
+                homcomplex._independence_homology_unfolded(mask, nbr, p), (nbr, mask)
+    assert partly_folded > 50
+
+
+def test_folding_keeps_the_rp2_characteristic_dependence():
+    nbr = rp2_flag_neighbour_masks()
+    full = (1 << len(nbr)) - 1
+    assert homcomplex._fold(full, nbr).bit_count() == len(nbr) - 6
+    for p, expected in ((2, {1: 1, 2: 1}), (3, {}), (32003, {})):
+        assert homcomplex._independence_homology_unfolded(full, nbr, p) == expected
+        assert homcomplex._independence_homology(full, nbr, p) == expected
+
+
+def masks_by_filter(nbr):
+    """Every nonempty mask whose vertices all have a neighbour in it, by
+    testing each of the 2^n masks."""
+    return [mask for mask in range(1, 1 << len(nbr))
+            if all(nbr[v] & mask for v in range(len(nbr)) if mask >> v & 1)]
+
+
+def test_mask_walk_matches_the_filter():
+    graphs = []
+    for spec in enumerate_specs(("cycle", "line", "bicyclic", "dumbbell"), 12):
+        g = build(spec)
+        graphs.append(neighbour_masks(
+            g.nvertices, [(g.index(u), g.index(v)) for u, v in g.edges]))
+    rng = random.Random("walk")
+    graphs += [random_neighbour_masks(rng, 11) for _ in range(200)]
+    # isolated vertices and several components with edges are covered
+    assert any(0 in nbr for nbr in graphs)
+    assert any(sum(c & (c - 1) > 0 for c in homcomplex._components((1 << len(nbr)) - 1, nbr))
+               > 1 for nbr in graphs)
+    for nbr in graphs:
+        walked = list(homcomplex._masks_without_isolated_vertex(nbr))
+        assert len(walked) == len(set(walked))
+        assert sorted(walked) == masks_by_filter(nbr), nbr
 
 
 def test_vertex_count_limit():
@@ -208,6 +302,21 @@ def test_betti_csv_rows():
 def test_large_prime_gives_the_gf2_table(spec):
     g = build_from_string(spec)
     assert betti_table(g, LARGE_PRIME).entries == betti_table(g, 2).entries
+
+
+GOLDEN_BETTI = Path(__file__).resolve().parent / "data" / "betti12.jsonl"
+
+
+def test_betti_tables_match_the_golden():
+    # every enumerate_specs instance up to 12 vertices over three fields, one
+    # line [spec, p, csv rows] each, captured before independence complexes
+    # were folded
+    got = []
+    for spec in enumerate_specs(("cycle", "line", "bicyclic", "dumbbell"), 12):
+        g = build(spec)
+        for p in MODULI:
+            got.append(json.dumps([str(spec), p, betti_table(g, p).csv_rows()]))
+    assert got == GOLDEN_BETTI.read_text(encoding="utf-8").splitlines()
 
 
 def test_characteristic_independence_small_instances():

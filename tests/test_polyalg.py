@@ -210,6 +210,20 @@ def test_ring_axioms(p, data):
     assert f * (g + h) == f * g + f * h
 
 
+@pytest.mark.parametrize("p", MODULI)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), extra=st.integers(1, 2))
+def test_lift_equals_the_sorted_construction(p, data, extra):
+    f = data.draw(_polys(p))
+    ext = f.ring
+    for i in range(extra):
+        ext = ext.extend(f"t{i}")
+    pad = (0,) * extra
+    lifted = ext.lift(f)
+    assert lifted.ring == ext
+    assert lifted.terms == ext.poly({m + pad: c for m, c in f.terms}).terms
+
+
 def test_json_roundtrip_and_term_order():
     R = ring()
     f = R.poly({R.monomial("x1", "x2"): 1, R.monomial("x3", "x4"): 5})
