@@ -1,20 +1,45 @@
 """Buchberger's algorithm, normal form and radical-membership tests.
 
 The engine is deliberately small: normal pair selection (smallest lcm degree
-first) with the coprimality criterion, full tail reduction, and a hard budget
-on processed S-pairs.  Exceeding the budget raises ResourceLimitError rather
-than ever returning a wrong answer.
+first, then (i, j)) with the coprimality criterion, full tail reduction, and
+a hard budget on processed S-pairs.  Exceeding the budget raises
+ResourceLimitError rather than ever returning a wrong answer.
 
-Each basis element is kept monic, with its divisor data computed once when
-it is added: leading monomial, degree, support bitmask, mask of the
-variables it holds with exponent 2 or more, and tail.  Bitmasks answer the
-frequent questions without touching exponents (after Bachmann and
-Schoenemann, Monomial representations for Groebner bases computations,
-ISSAC 1998): disjoint supports mean coprime leading monomials, a divisor
-whose support is not inside a term's support cannot divide it, and the lcm
-degree of a pair is a popcount whenever the shared variables are
-squarefree in both.  One private reducer serves `buchberger`, the final
+Inside the kernel a monomial is one Python int, a packed exponent vector
+(Bachmann and Schoenemann, Monomial representations for Groebner bases
+computations, ISSAC 1998; Monagan and Pearce, J. Symb. Comput. 46 (2011)).
+With W-bit fields in n variables, x^e packs to
+K = deg << n*W - sum(e_i << i*W):
+
+- K adds under multiplication, and the integer order of K is grevlex, so
+  the reducer takes max() of a dict of terms;
+- the top bit of each field is a guard bit that no exponent reaches, so a
+  divides b exactly when (K_a + G - K_b) & G == G, G being the guard bits,
+  and the gcd of two monomials is a fieldwise (SWAR) minimum;
+- the support of a monomial is one add and one mask of its packed
+  exponents, as bits on the guard positions, and their degree is their
+  value mod 2^W - 1.
+
+Every exponent stays below the guard bit 2^(W-1).  In grevlex no term met
+while a pair is processed has a degree above the pair's lcm degree, so the
+input degrees and each processed pair's degree are checked against that
+limit; a degree that reaches it re-packs the basis with wider fields.
+Monomials are packed when `buchberger` or `normal_form` is entered, and
+only results are unpacked.  One reducer serves `buchberger`, the final
 basis reduction and `normal_form`.
+
+The pair queue holds groups of pairs with one j.  A heap entry is
+(degree, lowest i, j, bitset of the queued i, exact); popping an exact
+group processes its lowest pair and clears that bit.  When element j is
+added, per-variable bitsets of basis indices split the i into those whose
+leading monomials share a variable with j's and the coprime rest.  A
+coprime pair has lcm degree deg_i + deg_j, so the coprime i are grouped by
+deg_i with no per-pair work.  The sharing i are grouped by deg_i too, under
+a lower bound of their lcm degree; when such a group comes up, its pairs get
+exact lcm degrees and are requeued.  A group's key never exceeds the key of
+any pair in it, so pairs are processed in exactly (lcm degree, i, j) order,
+and most queued pairs, which lie above the degree where a unit turns up,
+are never looked at one by one.
 """
 
 from __future__ import annotations
@@ -22,21 +47,14 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
-from operator import add, le, sub
 from typing import Sequence
 
 from .errors import ResourceLimitError, UsageError
-from .polyalg import (
-    Mono,
-    Polynomial,
-    grevlex_key,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-)
+from .polyalg import Mono, Polynomial, PolyRing, mono_div, mono_lcm
 
 DEFAULT_SPAIR_BUDGET = 200_000
 SPAIR_BUDGET_ENV = "EDGEIDEAL_SPAIR_BUDGET"
+FIELD_BITS = 16  # width of a packed exponent field, guard bit included, before any widening
 
 
 class DegenerateInputError(ValueError):
@@ -102,47 +120,71 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return left - right
 
 
-def _masks(mono: Mono) -> tuple[int, int]:
-    """Bitmasks of the variables that occur in `mono`, and of those that
-    occur with exponent 2 or more."""
-    support = high = 0
-    for i, e in enumerate(mono):
-        if e:
-            support |= 1 << i
-            if e > 1:
-                high |= 1 << i
-    return support, high
+class _Packing:
+    """Monomials in `nvars` variables packed into ints, in fields of `width`
+    bits: every exponent of a degree below `limit` fits under the guard bit.
+    The fields are the narrowest of FIELD_BITS, doubled as often as needed,
+    that take monomials of degree `degree`."""
+
+    __slots__ = ("nvars", "width", "top", "limit", "ones", "guards", "fold")
+
+    def __init__(self, nvars: int, degree: int):
+        width = FIELD_BITS
+        while degree >= 1 << (width - 1):
+            width *= 2
+        self.nvars = nvars
+        self.width = width
+        self.top = nvars * width
+        self.limit = 1 << (width - 1)
+        self.ones = ((1 << self.top) - 1) // ((1 << width) - 1)  # a 1 in every field
+        self.guards = self.ones << (width - 1)
+        # 2^W = 1 mod fold, so packed exponents mod fold are their sum,
+        # which is a degree below limit, hence below fold
+        self.fold = (1 << width) - 1
+
+    def pack(self, mono: Mono) -> int:
+        tail = 0
+        for i, e in enumerate(mono):
+            if e:
+                tail |= e << i * self.width
+        return (sum(mono) << self.top) - tail
+
+    def unpack(self, key: int) -> Mono:
+        tail = -key & ((1 << self.top) - 1)
+        mask = self.limit - 1
+        return tuple(tail >> i * self.width & mask for i in range(self.nvars))
+
+    def pack_terms(self, terms) -> dict[int, int]:
+        pack = self.pack
+        return {pack(m): c for m, c in terms}
+
+    def poly(self, ring: PolyRing, terms: dict[int, int]) -> Polynomial:
+        unpack = self.unpack
+        return ring.poly({unpack(k): c for k, c in terms.items()})
 
 
-def _reduce(work: dict[Mono, int], divisors: Sequence[tuple], p: int) -> dict[Mono, int]:
-    """Full reduction of the terms in `work` (consumed) by monic divisors.
+def _reduce(work: dict[int, int], divisors: Sequence[tuple], guards: int,
+            p: int) -> dict[int, int]:
+    """Full reduction of the packed terms in `work` (consumed) by monic
+    divisors (leading monomial plus guard bits, leading monomial, tail).
 
-    The largest grevlex term is reduced first, by the first divisor whose
-    leading monomial divides it.  The remainder is returned with its terms
-    in descending order, so its first key is its leading monomial."""
-    # min-heap on (-degree, reversed exponents) pops the largest grevlex
-    # term first; an entry whose term has cancelled since is skipped
-    heap = [(-sum(m), m[::-1], m) for m in work]
-    heapq.heapify(heap)
-    remainder: dict[Mono, int] = {}
-    while heap:
-        mono = heapq.heappop(heap)[2]
-        coeff = work.pop(mono, 0)
-        if not coeff:
-            continue
-        mmask = _masks(mono)[0]
-        for lm, _, lmask, high, tail in divisors:
-            # a support subset is divisibility unless lm has a square
-            if lmask & ~mmask or high and not all(map(le, lm, mono)):
+    The largest term is reduced first, by the first divisor whose leading
+    monomial divides it.  The remainder is returned with its terms in
+    descending order, so its first key is its leading monomial."""
+    remainder: dict[int, int] = {}
+    while work:
+        mono = max(work)
+        coeff = work.pop(mono)
+        for lmg, lm, tail in divisors:
+            if (lmg - mono) & guards != guards:
                 continue
-            qm = tuple(map(sub, mono, lm))
+            qm = mono - lm
             # the leading term of coeff*qm*divisor cancels `mono` exactly
             for bm, bc in tail:
-                mm = tuple(map(add, qm, bm))
+                mm = qm + bm
                 old = work.get(mm)
                 if old is None:
                     work[mm] = -coeff * bc % p
-                    heapq.heappush(heap, (-sum(mm), mm[::-1], mm))
                 else:
                     nv = (old - coeff * bc) % p
                     if nv:
@@ -155,14 +197,30 @@ def _reduce(work: dict[Mono, int], divisors: Sequence[tuple], p: int) -> dict[Mo
     return remainder
 
 
-def _monic_divisor(terms: dict[Mono, int], p: int) -> tuple:
-    """Divisor data of the monic multiple of a nonzero polynomial whose terms
-    are in descending order: (leading monomial, degree, support mask, high
-    mask, tail)."""
+def _monic(terms: dict[int, int], guards: int, p: int) -> tuple[int, int, tuple]:
+    """Divisor of the monic multiple of nonzero packed terms in descending
+    order: (leading monomial plus guard bits, leading monomial, tail)."""
     items = iter(terms.items())
     lm, lc = next(items)
     inv = pow(lc, p - 2, p)
-    return (lm, sum(lm), *_masks(lm), tuple((m, c * inv % p) for m, c in items))
+    return lm + guards, lm, tuple((m, c * inv % p) for m, c in items)
+
+
+def _gcd(a: int, b: int, pk: _Packing) -> int:
+    """Fieldwise minimum of two packed exponent vectors."""
+    ge = ((a | pk.guards) - b) & pk.guards  # guard bits of the fields where a >= b
+    ge -= ge >> (pk.width - 1)  # ... widened to the whole field below the guard
+    return a ^ (a ^ b) & ge
+
+
+def _lead(lm: int, pk: _Packing) -> tuple[int, int]:
+    """Degree and packed exponent vector of a packed leading monomial."""
+    degree = -(-lm >> pk.top)
+    return degree, (degree << pk.top) - lm
+
+
+def _input_degree(polys: Sequence[Polynomial]) -> int:
+    return max((sum(m) for f in polys for m, _ in f.terms), default=0)
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -172,23 +230,25 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
         return f
     ring = f.ring
     p = ring.modulus
-    divisors = []
     for b in basis:
         if b.is_zero:
             raise DegenerateInputError("zero polynomial in normal-form basis")
         f._check_ring(b)
-        divisors.append(_monic_divisor(dict(b.terms), p))
-    return ring.poly(_reduce(dict(f.terms), divisors, p))
+    # every term of the reduction has a degree at most that of a term of f
+    pk = _Packing(ring.nvars, _input_degree([f, *basis]))
+    divisors = [_monic(pk.pack_terms(b.terms), pk.guards, p) for b in basis]
+    return pk.poly(ring, _reduce(pk.pack_terms(f.terms), divisors, pk.guards, p))
 
 
 def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `generators`.
 
-    Each basis element is kept as its divisor data, computed once when it
-    is added.  Pairs are processed in (lcm degree, i, j) order, and a pair
-    whose leading monomials are coprime (disjoint support masks) is counted
-    and skipped.  Raises ResourceLimitError once more than `spair_budget`
-    S-pairs have been processed (default from spair_budget_default()).
+    Each basis element is kept monic and packed, with its leading-monomial
+    data computed once when it is added.  Pairs are processed in
+    (lcm degree, i, j) order, and a pair whose leading monomials are coprime
+    (disjoint supports) is counted and skipped.  Raises ResourceLimitError
+    once more than `spair_budget` S-pairs have been processed (default from
+    spair_budget_default()).
     """
     if not generators:
         raise DegenerateInputError("empty generator list")
@@ -198,25 +258,50 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
     for g in generators[1:]:
         generators[0]._check_ring(g)
 
-    basis: list[tuple] = []
-    pairs: list[tuple[int, int, int]] = []
+    pk = _Packing(ring.nvars, _input_degree(generators))
+    guards = pk.guards
+    divisors: list[tuple] = []  # (lm + guards, lm, tail) of each basis element
+    leads: list[tuple[int, int]] = []  # _lead of each basis element
+    holders = [0] * ring.nvars  # per variable: bitset of the i whose lm_i has it
+    by_degree: dict[int, int] = {}  # per degree: bitset of the i of that lm degree
+    # (lcm degree or a lower bound of it, lowest i, j, bitset of the i, exact?)
+    heap: list[tuple[int, int, int, int, bool]] = []
 
-    def push(remainder: dict[Mono, int]) -> bool:
-        """Add the monic multiple of a nonzero remainder; True means a unit
-        was found."""
-        new = _monic_divisor(remainder, p)
-        lm, deg, mask, high, _ = new
-        if not deg:
+    def push(remainder: dict[int, int]) -> bool:
+        """Add the monic multiple of nonzero packed terms and queue its
+        pairs; True means a unit was found."""
+        new = _monic(remainder, guards, p)
+        lead = _lead(new[1], pk)
+        degree, tail = lead
+        if not degree:
             return True
-        j = len(basis)
-        for i, (lmi, degi, maski, highi, _) in enumerate(basis):
-            shared = mask & maski
-            if shared & (high | highi):
-                degree = sum(map(max, lm, lmi))
-            else:  # the gcd is squarefree: its degree is the shared support
-                degree = deg + degi - shared.bit_count()
-            heapq.heappush(pairs, (degree, i, j))
-        basis.append(new)
+        j = len(divisors)
+        bit = 1 << j
+        shared = 0
+        rest = (tail + guards - pk.ones) & guards  # the support, on the guard bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() // pk.width - 1
+            shared |= holders[v]
+            holders[v] |= bit
+        # one or two groups per degree of lm_i: the coprime pairs, of lcm
+        # degree deg_i + deg_j, and the pairs sharing a variable, under the
+        # lower bound max(deg_i, deg_j + 1) of their lcm degree (lm_i does
+        # not divide the reduced lm_j) until that bound comes up
+        coprime = (bit - 1) ^ shared
+        for deg_i, members in by_degree.items():
+            group = members & coprime
+            if group:
+                heapq.heappush(heap, (degree + deg_i, (group & -group).bit_length() - 1, j,
+                                      group, True))
+            group = members & shared
+            if group:
+                heapq.heappush(heap, (max(deg_i, degree + 1), (group & -group).bit_length() - 1,
+                                      j, group, False))
+        by_degree[degree] = by_degree.get(degree, 0) | bit
+        divisors.append(new)
+        leads.append(lead)
         return False
 
     processed = 0
@@ -224,63 +309,93 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
     for g in generators:
         if g.is_zero:
             continue
-        r = _reduce(dict(g.terms), basis, p)
+        r = _reduce(pk.pack_terms(g.terms), divisors, guards, p)
         if r and push(r):
             unit = True
             break
 
-    while pairs and not unit:
-        _, i, j = heapq.heappop(pairs)
+    while heap and not unit:
+        d, i, j, members, exact = heap[0]
+        if not exact:
+            # a lower bound came up: requeue its pairs by exact lcm degree
+            heapq.heappop(heap)
+            deg_j, tail_j = leads[j]
+            groups: dict[int, int] = {}
+            while members:
+                low = members & -members
+                members ^= low
+                deg_i, tail_i = leads[low.bit_length() - 1]
+                d = deg_i + deg_j - _gcd(tail_i, tail_j, pk) % pk.fold
+                groups[d] = groups.get(d, 0) | low
+            for d, group in groups.items():
+                heapq.heappush(heap, (d, (group & -group).bit_length() - 1, j, group, True))
+            continue
+        members &= members - 1
+        if members:
+            heapq.heapreplace(heap, (d, (members & -members).bit_length() - 1, j, members, True))
+        else:
+            heapq.heappop(heap)
         processed += 1
         if processed > budget:
             raise ResourceLimitError(
                 f"S-pair budget of {budget} exceeded",
                 stage="buchberger",
-                detail={"spairs": processed, "basis": len(basis), "queued": len(pairs)})
-        lmi, _, maski, _, taili = basis[i]
-        lmj, _, maskj, _, tailj = basis[j]
-        if not maski & maskj:
+                detail={"spairs": processed, "basis": len(divisors),
+                        "queued": sum(e[3].bit_count() for e in heap)})
+        deg_i, tail_i = leads[i]
+        deg_j, tail_j = leads[j]
+        gcd_degree = deg_i + deg_j - d
+        if not gcd_degree:
             continue  # coprime leading monomials: S-pair reduces to zero
-        # S-polynomial of two monic elements: their leading terms cancel
-        lcm = tuple(map(max, lmi, lmj))
-        qi = tuple(map(sub, lcm, lmi))
-        qj = tuple(map(sub, lcm, lmj))
-        work = {tuple(map(add, m, qi)): c for m, c in taili}
+        if d >= pk.limit:
+            # every term of this pair's reduction has degree at most d
+            old, pk = pk, _Packing(ring.nvars, d)
+            guards = pk.guards
+            divisors[:] = [_monic(pk.pack_terms((old.unpack(m), c) for m, c in ((lm, 1), *tail)),
+                                  guards, p)
+                           for _, lm, tail in divisors]
+            leads[:] = [_lead(lm, pk) for _, lm, _ in divisors]
+            (deg_i, tail_i), (deg_j, tail_j) = leads[i], leads[j]
+        _, lmi, taili = divisors[i]
+        _, lmj, tailj = divisors[j]
+        gcd = (gcd_degree << pk.top) - _gcd(tail_i, tail_j, pk)
+        # S-polynomial of two monic elements: their leading terms cancel;
+        # lcm/lm_i = lm_j/gcd and lcm/lm_j = lm_i/gcd
+        qi = lmj - gcd
+        qj = lmi - gcd
+        work = {m + qi: c for m, c in taili}
         for m, c in tailj:
-            mm = tuple(map(add, m, qj))
+            mm = m + qj
             nv = (work.get(mm, 0) - c) % p
             if nv:
                 work[mm] = nv
             else:
                 work.pop(mm, None)
-        r = _reduce(work, basis, p)
+        r = _reduce(work, divisors, guards, p)
         if r:
             unit = push(r)
 
     if unit:
         return GroebnerBasis((ring.one(),), processed)
-    if not basis:
+    if not divisors:
         return GroebnerBasis((), processed)
 
-    return GroebnerBasis(tuple(ring.poly(g) for g in _reduce_basis(basis, p)), processed)
+    return GroebnerBasis(tuple(pk.poly(ring, g) for g in _reduce_basis(divisors, guards, p)),
+                         processed)
 
 
-def _reduce_basis(basis: list[tuple], p: int) -> list[dict[Mono, int]]:
-    """Minimalize then tail-reduce monic divisors; output the terms of each
-    element, sorted descending by leading monomial."""
-    by_lm = sorted(basis, key=lambda d: grevlex_key(d[0]))
+def _reduce_basis(divisors: list[tuple], guards: int, p: int) -> list[dict[int, int]]:
+    """Minimalize then tail-reduce monic divisors; output the packed terms
+    of each element, sorted descending by leading monomial."""
     minimal: list[tuple] = []
-    for d in by_lm:
-        lm = d[0]
-        if not any(mono_divides(h[0], lm) for h in minimal):
+    for d in sorted(divisors, key=lambda d: d[1]):
+        if not any((h[0] - d[1]) & guards == guards for h in minimal):
             minimal.append(d)
     reduced = []
-    for i, (lm, *_, tail) in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = _reduce({lm: 1, **dict(tail)}, others, p)
-        # lm is divisible by no other leading monomial, so r stays monic
-        reduced.append(r)
-    reduced.sort(key=lambda r: grevlex_key(next(iter(r))), reverse=True)
+    for i, (_, lm, tail) in enumerate(minimal):
+        # lm is divisible by no other leading monomial, so the result stays monic
+        reduced.append(_reduce({lm: 1, **dict(tail)}, minimal[:i] + minimal[i + 1:], guards, p))
+    reduced.sort(key=lambda r: next(iter(r)), reverse=True)
     return reduced
 
 

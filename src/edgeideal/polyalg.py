@@ -9,6 +9,7 @@ here are safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping
 
 Mono = tuple[int, ...]
@@ -248,6 +249,8 @@ class Polynomial:
         for m, c in terms.items():
             if len(m) != nv:
                 raise DimensionError(f"monomial {m} in {nv}-variable ring")
+            if not all(map(isinstance, m, repeat(int))) or min(m, default=0) < 0:
+                raise ValueError(f"exponents must be non-negative integers, got {m}")
             c %= p
             if c:
                 clean[m] = c

@@ -141,12 +141,22 @@ def _monic(f: dict, p: int) -> dict:
     return {m: c * inv % p for m, c in f.items()}
 
 
-def reference_buchberger(generators: list, p: int) -> tuple:
+class ReferenceBudgetExceeded(Exception):
+    """The textbook loop processed more S-pairs than its budget; `detail`
+    says how far it got: pairs processed, basis length and pairs queued."""
+
+    def __init__(self, detail: dict):
+        super().__init__(detail)
+        self.detail = detail
+
+
+def reference_buchberger(generators: list, p: int, budget: int | None = None) -> tuple:
     """Reduced Groebner basis of the ideal of `generators` ({exponent-tuple:
     coeff} dicts over GF(p)) by the textbook loop: pairs in (lcm degree, i, j)
     order, coprime pairs counted and skipped, each S-polynomial built from
     its definition.  Returns (basis as term tuples in descending order,
-    pairs processed)."""
+    pairs processed).  Raises ReferenceBudgetExceeded when the pair that
+    would be processed is the one past `budget`."""
     basis, pairs = [], []
 
     def push(f):
@@ -171,6 +181,9 @@ def reference_buchberger(generators: list, p: int) -> tuple:
     while pairs and not unit:
         _, i, j = heapq.heappop(pairs)
         processed += 1
+        if budget is not None and processed > budget:
+            raise ReferenceBudgetExceeded(
+                {"spairs": processed, "basis": len(basis), "queued": len(pairs)})
         fi, fj = basis[i], basis[j]
         lmi, lmj = max(fi, key=_grevlex), max(fj, key=_grevlex)
         lcm = tuple(map(max, lmi, lmj))

@@ -1,11 +1,15 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from edgeideal import groebner
 from edgeideal.errors import ResourceLimitError
-from edgeideal.graphs import build_from_string, edge_ideal, ring_of
+from edgeideal.graphs import build_from_string, edge_ideal, enumerate_specs, ring_of
 from edgeideal.groebner import (
+    FIELD_BITS,
     DegenerateInputError,
     GroebnerStats,
     buchberger,
@@ -15,8 +19,13 @@ from edgeideal.groebner import (
     s_polynomial,
 )
 from edgeideal.polyalg import PolyRing, mono_divides, mono_div, mono_lcm
-from edgeideal.sequences import bicyclic_vertex_sequence, cycle_sequence
-from oracles import monomial_ideal_contains, reference_buchberger
+from edgeideal.sequences import bicyclic_vertex_sequence, cycle_sequence, sequence_for
+from oracles import (
+    ReferenceBudgetExceeded,
+    _reference_normal_form,
+    monomial_ideal_contains,
+    reference_buchberger,
+)
 
 
 def ring(p=32003, n=6):
@@ -201,17 +210,99 @@ def _random_system(rng, p):
 def test_buchberger_matches_the_textbook_loop(p):
     # same reduced basis, same S-pair count and the same budget cut-off as
     # the reference, on seeded random ideals and Rabinowitsch systems
-    rng = random.Random(p)
+    rng, cuts = random.Random(p), random.Random(-p)
     for _ in range(60):
         gens = _random_system(rng, p)
         want_basis, want_pairs = reference_buchberger([dict(g.terms) for g in gens], p)
         gb = buchberger(gens)
         assert tuple(g.terms for g in gb) == want_basis
         assert gb.spairs_processed == want_pairs
-        if want_pairs:
+        # the cut-off one pair short of the end and at a random earlier
+        # budget: pairs processed, basis length and pairs still queued
+        for budget in {want_pairs - 1, cuts.randrange(want_pairs)} if want_pairs else ():
+            with pytest.raises(ReferenceBudgetExceeded) as want:
+                reference_buchberger([dict(g.terms) for g in gens], p, budget)
             with pytest.raises(ResourceLimitError) as err:
-                buchberger(gens, spair_budget=want_pairs - 1)
-            assert err.value.detail["spairs"] == want_pairs
+                buchberger(gens, spair_budget=budget)
+            assert err.value.detail == want.value.detail
+
+
+# -- packed monomials at the edges of their range ----------------------------------------
+
+def _sparse_system(rng, nvars, p):
+    """Two or three generators of one to three terms in an `nvars`-variable
+    ring, over the first, the last and a random variable."""
+    R = PolyRing(p, [f"x{i}" for i in range(nvars)])
+    pool = {0, nvars - 1, rng.randrange(nvars)}
+
+    def mono():
+        e = [0] * nvars
+        for v in pool:
+            e[v] = rng.randint(0, 2)
+        return tuple(e)
+
+    return [R.poly({mono(): rng.randrange(1, p) for _ in range(rng.randint(1, 3))})
+            for _ in range(rng.randint(2, 3))]
+
+
+def _matches_the_textbook_loop(gens, p, rng):
+    """Same reduced basis and S-pair count as the reference, and the same
+    normal form of a random polynomial modulo the generators."""
+    want_basis, want_pairs = reference_buchberger([dict(g.terms) for g in gens], p)
+    gb = buchberger(gens)
+    R = gens[0].ring
+    f = R.poly({tuple(rng.randint(0, 3) for _ in range(R.nvars)): rng.randrange(1, p)
+                for _ in range(4)})
+    want_nf = _reference_normal_form(dict(f.terms), [dict(g.terms) for g in gens], p)
+    return ((tuple(g.terms for g in gb), gb.spairs_processed) == (want_basis, want_pairs)
+            and normal_form(f, gens) == R.poly(want_nf))
+
+
+@pytest.mark.parametrize("nvars", [1, 63, 64, 65, 130])
+def test_packed_rings_match_the_textbook_loop(nvars):
+    # fields of the first and last variables, at word boundaries and past them
+    rng = random.Random(nvars)
+    for p in (2, 32003):
+        for _ in range(10):
+            assert _matches_the_textbook_loop(_sparse_system(rng, nvars, p), p, rng)
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_narrow_fields_repack_and_match_the_textbook_loop(p, monkeypatch):
+    # 2-bit fields hold only exponents below 2: nearly every run widens its
+    # fields while pairs are processed, some more than once
+    monkeypatch.setattr(groebner, "FIELD_BITS", 2)
+    rng = random.Random(p + 1)
+    for _ in range(40):
+        assert _matches_the_textbook_loop(_random_system(rng, p), p, rng)
+
+
+def test_degrees_at_and_past_the_field_limit(monkeypatch):
+    widths = []
+
+    class Recorded(groebner._Packing):
+        def __init__(self, nvars, degree):
+            super().__init__(nvars, degree)
+            widths.append(self.width)
+
+    monkeypatch.setattr(groebner, "_Packing", Recorded)
+    limit = 1 << (FIELD_BITS - 1)
+    R = PolyRing(32003, ["x", "y", "z", "w"])
+    # inputs of degree limit - 1 fit the default fields; the pair of f and g
+    # has lcm degree 2*limit - 3 and widens them.  Inputs of degree limit
+    # start wider.
+    for degree, want_widths in ((limit - 1, [FIELD_BITS, 2 * FIELD_BITS]),
+                                (limit, [2 * FIELD_BITS])):
+        f = R.poly({(degree - 1, 1, 0, 0): 1, (0, 0, 0, 1): 1})
+        g = R.poly({(0, 1, degree - 1, 0): 1, (0, 0, 0, 1): 2})
+        widths.clear()
+        gb = buchberger([f, g])
+        assert widths == want_widths
+        assert ((tuple(h.terms for h in gb), gb.spairs_processed)
+                == reference_buchberger([dict(f.terms), dict(g.terms)], 32003))
+        h = R.poly({(2 * degree, 1, 1, 0): 3, (1, degree, 0, 1): 1, (0, 0, 0, 2): 5})
+        assert normal_form(h, [f, g]) == R.poly(
+            _reference_normal_form(dict(h.terms), [dict(f.terms), dict(g.terms)], 32003))
 
 
 def test_budget_exceeded_is_surfaced():
@@ -303,3 +394,33 @@ def test_radical_membership_rejects_zero():
     R = ring()
     with pytest.raises(DegenerateInputError):
         radical_membership(R.zero(), [R.one()])
+
+
+# -- pinned S-pair counts ----------------------------------------------------------------
+
+GOLDEN_SPAIRS = Path(__file__).resolve().parent / "data" / "spairs12.jsonl"
+
+
+def _edge_runs(spec, p):
+    """(S-pairs processed, basis length) of the Rabinowitsch run of every
+    edge of `spec` over GF(p), as radical_membership builds it."""
+    seq = sequence_for(spec)
+    R = ring_of(seq.graph, p)
+    ext = R.extend()
+    t = ext.variable(ext.nvars - 1)
+    gens = [ext.lift(g) for g in (R.convert(q) for q in seq.polys) if not g.is_zero]
+    runs = []
+    for u, v in seq.graph.edges:
+        gb = buchberger(gens + [ext.one() - t * ext.lift(R.term(1, R.monomial(u, v)))])
+        runs.append([gb.spairs_processed, len(gb)])
+    return runs
+
+
+def test_spair_counts_match_the_golden():
+    # one line [spec, p, per-edge [spairs, basis length]] per cycle, bicyclic
+    # and dumbbell instance up to 12 vertices over GF(2) and GF(32003),
+    # captured before monomials were packed into integers
+    got = [json.dumps([str(spec), p, _edge_runs(spec, p)])
+           for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell"), 12)
+           for p in (2, 32003)]
+    assert got == GOLDEN_SPAIRS.read_text(encoding="utf-8").splitlines()

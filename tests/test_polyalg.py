@@ -183,6 +183,15 @@ def test_terms_sorted_descending_and_nonzero():
                for i in range(len(f.terms) - 1))
 
 
+@pytest.mark.parametrize("mono", [(-1, 1), (0, -2), (1.5, 0), (1.0, 0), ("1", 0), (None, 1)])
+def test_exponents_must_be_non_negative_integers(mono):
+    R = PolyRing(2, ["x", "y"])
+    with pytest.raises(ValueError):
+        R.poly({mono: 1, (0, 0): 1})
+    with pytest.raises(ValueError):
+        poly_from_json(R, {"terms": [{"c": 1, "e": list(mono)}]})
+
+
 def test_field_mismatch_raises():
     a = ring(p=2).one()
     b = ring(p=3).one()
