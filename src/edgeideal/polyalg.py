@@ -174,6 +174,8 @@ class PolyRing:
         for nm in names:
             e[self._index[nm]] += 1
         for nm, k in powers.items():
+            if not isinstance(k, int) or k < 0:
+                raise ValueError(f"exponents must be non-negative integers, got {nm}={k!r}")
             e[self._index[nm]] += k
         return tuple(e)
 

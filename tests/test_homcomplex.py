@@ -10,7 +10,7 @@ import pytest
 
 from edgeideal import homcomplex
 from edgeideal.errors import ResourceLimitError
-from edgeideal.graphs import build, build_from_string, enumerate_specs
+from edgeideal.graphs import Graph, build, build_from_string, enumerate_specs
 from edgeideal.homcomplex import (
     DomainError,
     SimplicialComplex,
@@ -19,7 +19,12 @@ from edgeideal.homcomplex import (
     projective_dimension,
     reduced_homology_dims,
 )
-from oracles import profile_euler_sum, reduced_euler_characteristic, shifted_profile
+from oracles import (
+    hochster_betti,
+    profile_euler_sum,
+    reduced_euler_characteristic,
+    shifted_profile,
+)
 
 MODULI = (2, 3, 32003)
 LARGE_PRIME = 1099511627791  # about 2^40: a product of two residues overflows int64
@@ -106,7 +111,7 @@ def test_negative_homology_dimension_raises(monkeypatch):
         betti_table(build_from_string("cycle:4"), 3)
 
 
-# -- folding and the mask walk -------------------------------------------------------
+# -- folding and the Hochster sum -------------------------------------------------------
 
 def neighbour_masks(n, edges):
     nbr = [0] * n
@@ -170,29 +175,48 @@ def test_folding_keeps_the_rp2_characteristic_dependence():
         assert homcomplex._independence_homology(full, nbr, p) == expected
 
 
-def masks_by_filter(nbr):
-    """Every nonempty mask whose vertices all have a neighbour in it, by
-    testing each of the 2^n masks."""
-    return [mask for mask in range(1, 1 << len(nbr))
-            if all(nbr[v] & mask for v in range(len(nbr)) if mask >> v & 1)]
+def graph_of(nbr):
+    labels = tuple(f"v{i}" for i in range(len(nbr)))
+    return Graph(labels, tuple((labels[i], labels[j])
+                               for i, j in itertools.combinations(range(len(nbr)), 2)
+                               if nbr[i] >> j & 1))
 
 
-def test_mask_walk_matches_the_filter():
-    graphs = []
-    for spec in enumerate_specs(("cycle", "line", "bicyclic", "dumbbell"), 12):
-        g = build(spec)
-        graphs.append(neighbour_masks(
-            g.nvertices, [(g.index(u), g.index(v)) for u, v in g.edges]))
-    rng = random.Random("walk")
-    graphs += [random_neighbour_masks(rng, 11) for _ in range(200)]
+# A flag triangulation of RP^2 on 11 vertices, found by contracting edges of
+# the barycentric subdivision of the 6-vertex RP^2 while the result stays a
+# flag 2-manifold.  Ind of the complement of its 1-skeleton is the
+# triangulation itself, so H~_1 and H~_2 are GF(2) in characteristic 2 and 0
+# otherwise.
+RP2_FLAG_TRIANGLES = (
+    (0, 2, 4), (0, 2, 8), (0, 4, 10), (0, 6, 8), (0, 6, 10), (1, 3, 4), (1, 3, 6),
+    (1, 4, 5), (1, 5, 8), (1, 6, 8), (2, 3, 4), (2, 3, 9), (2, 8, 9), (3, 6, 7),
+    (3, 7, 9), (4, 5, 10), (5, 7, 9), (5, 7, 10), (5, 8, 9), (6, 7, 10))
+
+
+def rp2_small_flag_neighbour_masks():
+    drawn = {pair for t in RP2_FLAG_TRIANGLES for pair in itertools.combinations(t, 2)}
+    return neighbour_masks(11, [pair for pair in itertools.combinations(range(11), 2)
+                                if pair not in drawn])
+
+
+def test_betti_table_matches_the_hochster_sum_over_every_subset():
+    rng = random.Random("hochster")
+    graphs = [random_neighbour_masks(rng, 10) for _ in range(200)]
     # isolated vertices and several components with edges are covered
     assert any(0 in nbr for nbr in graphs)
-    assert any(sum(c & (c - 1) > 0 for c in homcomplex._components((1 << len(nbr)) - 1, nbr))
-               > 1 for nbr in graphs)
-    for nbr in graphs:
-        walked = list(homcomplex._masks_without_isolated_vertex(nbr))
-        assert len(walked) == len(set(walked))
-        assert sorted(walked) == masks_by_filter(nbr), nbr
+    assert sum(sum(c & (c - 1) > 0 for c in homcomplex._components((1 << len(nbr)) - 1, nbr))
+               > 1 for nbr in graphs) > 10
+    for k, nbr in enumerate(graphs):
+        p = (2, 3)[k % 2]
+        assert betti_table(graph_of(nbr), p).entries == hochster_betti(nbr, p), (nbr, p)
+
+
+def test_rp2_betti_tables_match_the_hochster_sum():
+    nbr = rp2_small_flag_neighbour_masks()
+    tables = {p: betti_table(graph_of(nbr), p).entries for p in (2, 3)}
+    assert tables[2] != tables[3]
+    for p, table in tables.items():
+        assert table == hochster_betti(nbr, p), p
 
 
 def test_vertex_count_limit():
@@ -319,9 +343,24 @@ def test_betti_tables_match_the_golden():
     assert got == GOLDEN_BETTI.read_text(encoding="utf-8").splitlines()
 
 
+GOLDEN_BETTI_LARGE = Path(__file__).resolve().parent / "data" / "betti_large.jsonl"
+
+
+def test_large_betti_tables_match_the_golden():
+    # 16 to 20 vertices over GF(2) and GF(32003), one line [spec, p, csv rows]
+    # each, captured from the walk over every subset with no isolated vertex
+    # that the Hochster recursion replaced
+    got = []
+    for spec in ("cycle:20", "bicyclic:10,11", "bicyclic:8,10", "dumbbell:6,4,6"):
+        g = build_from_string(spec)
+        for p in (2, 32003):
+            got.append(json.dumps([spec, p, betti_table(g, p).csv_rows()]))
+    assert got == GOLDEN_BETTI_LARGE.read_text(encoding="utf-8").splitlines()
+
+
 def test_characteristic_independence_small_instances():
-    specs = enumerate_specs(("cycle", "line", "bicyclic", "dumbbell"), 10)
-    assert len(specs) > 40
+    specs = enumerate_specs(("cycle", "line", "bicyclic", "dumbbell"), 13)
+    assert len(specs) > 100
     for spec in specs:
         g = build(spec)
         tables = [betti_table(g, p).entries for p in MODULI]

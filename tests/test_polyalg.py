@@ -192,6 +192,16 @@ def test_exponents_must_be_non_negative_integers(mono):
         poly_from_json(R, {"terms": [{"c": 1, "e": list(mono)}]})
 
 
+@pytest.mark.parametrize("power", [-1, 1.5, 1.0, "1", None])
+def test_monomial_rejects_bad_powers(power):
+    R = PolyRing(2, ["x", "y"])
+    with pytest.raises(ValueError, match="non-negative integers"):
+        R.monomial(x=power)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        R.monomial("x", x=power)
+    assert R.monomial("x", x=0, y=2) == (1, 2)
+
+
 def test_field_mismatch_raises():
     a = ring(p=2).one()
     b = ring(p=3).one()
