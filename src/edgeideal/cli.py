@@ -18,7 +18,7 @@ from .errors import ResourceLimitError, UsageError
 from .formulas import cycle_height, is_stci_cycle, pd_cycle, pd_for_spec
 from .graphs import SpecParseError, build, enumerate_specs, min_vertex_cover_size, parse_spec
 from .homcomplex import betti_table, projective_dimension
-from .polyalg import PrimeField
+from .polyalg import prime_modulus
 from .sequences import sequence_for
 from .verify import DEFAULT_HOMOLOGY_MAX_VERTICES, certify
 
@@ -56,7 +56,7 @@ def _nonnegative_int(text: str) -> int:
 
 def _prime(text: str) -> int:
     try:
-        return PrimeField(int(text)).p
+        return prime_modulus(int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be a machine-word sized prime, got {text!r}") from None

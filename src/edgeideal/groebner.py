@@ -40,6 +40,16 @@ exact lcm degrees and are requeued.  A group's key never exceeds the key of
 any pair in it, so pairs are processed in exactly (lcm degree, i, j) order,
 and most queued pairs, which lie above the degree where a unit turns up,
 are never looked at one by one.
+
+A run's state is one object (`_Run`): the packing, the divisors and leads,
+the per-variable and per-degree bitsets and the pair heap.  `buchberger`
+starts a fresh state, adds each input and processes the pairs.  Adding an
+input queues its pairs but processes none, so a state saved after some
+inputs is the same for every run that begins with them.  The radical tests
+of one generator list J share J: a `Rabinowitsch` set-up extends the ring
+by t, lifts J and saves the state after J's inputs once, and the run for
+each f copies that state, adds 1 - t*f and processes the pairs.  It
+processes the same pairs, in the same order, as a run from scratch.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ResourceLimitError, UsageError
-from .polyalg import Mono, Polynomial, PolyRing, mono_div, mono_lcm
+from .polyalg import Mono, Polynomial, PolyRing, mono_div, mono_lcm, mono_one
 
 DEFAULT_SPAIR_BUDGET = 200_000
 SPAIR_BUDGET_ENV = "EDGEIDEAL_SPAIR_BUDGET"
@@ -240,45 +250,74 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return pk.poly(ring, _reduce(pk.pack_terms(f.terms), divisors, pk.guards, p))
 
 
-def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `generators`.
+class _Run:
+    """The state of one Buchberger run: the packing, the monic divisors and
+    leading-monomial data of the basis so far, the per-variable and
+    per-degree bitsets of basis indices, the pair heap and the inputs added.
 
-    Each basis element is kept monic and packed, with its leading-monomial
-    data computed once when it is added.  Pairs are processed in
-    (lcm degree, i, j) order, and a pair whose leading monomials are coprime
-    (disjoint supports) is counted and skipped.  Raises ResourceLimitError
-    once more than `spair_budget` S-pairs have been processed (default from
-    spair_budget_default()).
-    """
-    if not generators:
-        raise DegenerateInputError("empty generator list")
-    budget = spair_budget if spair_budget is not None else spair_budget_default()
-    ring = generators[0].ring
-    p = ring.modulus
-    for g in generators[1:]:
-        generators[0]._check_ring(g)
+    Adding an input reduces it and queues its pairs but processes no S-pair,
+    so a state saved after some inputs is the same for every run that starts
+    with them; `copy` lets each such run resume from it."""
 
-    pk = _Packing(ring.nvars, _input_degree(generators))
-    guards = pk.guards
-    divisors: list[tuple] = []  # (lm + guards, lm, tail) of each basis element
-    leads: list[tuple[int, int]] = []  # _lead of each basis element
-    holders = [0] * ring.nvars  # per variable: bitset of the i whose lm_i has it
-    by_degree: dict[int, int] = {}  # per degree: bitset of the i of that lm degree
-    # (lcm degree or a lower bound of it, lowest i, j, bitset of the i, exact?)
-    heap: list[tuple[int, int, int, int, bool]] = []
+    __slots__ = ("ring", "p", "pk", "divisors", "leads", "holders", "by_degree", "heap",
+                 "unit", "inputs")
 
-    def push(remainder: dict[int, int]) -> bool:
+    def __init__(self, ring: PolyRing, degree: int):
+        self.ring = ring
+        self.p = ring.modulus
+        self.pk = _Packing(ring.nvars, degree)  # fields for monomials up to `degree`
+        self.divisors: list[tuple] = []  # (lm + guards, lm, tail) of each basis element
+        self.leads: list[tuple[int, int]] = []  # _lead of each basis element
+        self.holders = [0] * ring.nvars  # per variable: bitset of the i whose lm_i has it
+        self.by_degree: dict[int, int] = {}  # per degree: bitset of the i of that lm degree
+        # (lcm degree or a lower bound of it, lowest i, j, bitset of the i, exact?)
+        self.heap: list[tuple[int, int, int, int, bool]] = []
+        self.unit = False  # a unit was found: the ideal is the whole ring
+        self.inputs: list[Polynomial] = []
+
+    def copy(self) -> "_Run":
+        new = object.__new__(_Run)
+        new.ring, new.p, new.pk, new.unit = self.ring, self.p, self.pk, self.unit
+        new.divisors, new.leads, new.holders = self.divisors[:], self.leads[:], self.holders[:]
+        new.by_degree, new.heap, new.inputs = self.by_degree.copy(), self.heap[:], self.inputs[:]
+        return new
+
+    def add(self, g: Polynomial):
+        """Reduce an input, whose degree the packing takes, by the basis so
+        far and add the remainder.  Once a unit is found, inputs are only
+        recorded."""
+        self.inputs.append(g)
+        if self.unit or g.is_zero:
+            return
+        pk = self.pk
+        r = _reduce(pk.pack_terms(g.terms), self.divisors, pk.guards, self.p)
+        if r:
+            self.unit = self._push(r)
+
+    def widen(self, degree: int):
+        """Re-pack the basis into fields that take monomials of `degree`."""
+        old, pk = self.pk, _Packing(self.ring.nvars, degree)
+        self.pk = pk
+        self.divisors[:] = [
+            _monic(pk.pack_terms((old.unpack(m), c) for m, c in ((lm, 1), *tail)), pk.guards,
+                   self.p)
+            for _, lm, tail in self.divisors]
+        self.leads[:] = [_lead(lm, pk) for _, lm, _ in self.divisors]
+
+    def _push(self, remainder: dict[int, int]) -> bool:
         """Add the monic multiple of nonzero packed terms and queue its
         pairs; True means a unit was found."""
-        new = _monic(remainder, guards, p)
+        pk = self.pk
+        new = _monic(remainder, pk.guards, self.p)
         lead = _lead(new[1], pk)
         degree, tail = lead
         if not degree:
             return True
-        j = len(divisors)
+        holders, by_degree, heap = self.holders, self.by_degree, self.heap
+        j = len(self.divisors)
         bit = 1 << j
         shared = 0
-        rest = (tail + guards - pk.ones) & guards  # the support, on the guard bits
+        rest = (tail + pk.guards - pk.ones) & pk.guards  # the support, on the guard bits
         while rest:
             low = rest & -rest
             rest ^= low
@@ -300,88 +339,122 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
                 heapq.heappush(heap, (max(deg_i, degree + 1), (group & -group).bit_length() - 1,
                                       j, group, False))
         by_degree[degree] = by_degree.get(degree, 0) | bit
-        divisors.append(new)
-        leads.append(lead)
+        self.divisors.append(new)
+        self.leads.append(lead)
         return False
 
-    processed = 0
-    unit = False
-    for g in generators:
-        if g.is_zero:
-            continue
-        r = _reduce(pk.pack_terms(g.terms), divisors, guards, p)
-        if r and push(r):
-            unit = True
-            break
-
-    while heap and not unit:
-        d, i, j, members, exact = heap[0]
-        if not exact:
-            # a lower bound came up: requeue its pairs by exact lcm degree
-            heapq.heappop(heap)
-            deg_j, tail_j = leads[j]
-            groups: dict[int, int] = {}
-            while members:
-                low = members & -members
-                members ^= low
-                deg_i, tail_i = leads[low.bit_length() - 1]
-                d = deg_i + deg_j - _gcd(tail_i, tail_j, pk) % pk.fold
-                groups[d] = groups.get(d, 0) | low
-            for d, group in groups.items():
-                heapq.heappush(heap, (d, (group & -group).bit_length() - 1, j, group, True))
-            continue
-        members &= members - 1
-        if members:
-            heapq.heapreplace(heap, (d, (members & -members).bit_length() - 1, j, members, True))
-        else:
-            heapq.heappop(heap)
-        processed += 1
-        if processed > budget:
-            raise ResourceLimitError(
-                f"S-pair budget of {budget} exceeded",
-                stage="buchberger",
-                detail={"spairs": processed, "basis": len(divisors),
-                        "queued": sum(e[3].bit_count() for e in heap)})
-        deg_i, tail_i = leads[i]
-        deg_j, tail_j = leads[j]
-        gcd_degree = deg_i + deg_j - d
-        if not gcd_degree:
-            continue  # coprime leading monomials: S-pair reduces to zero
-        if d >= pk.limit:
-            # every term of this pair's reduction has degree at most d
-            old, pk = pk, _Packing(ring.nvars, d)
-            guards = pk.guards
-            divisors[:] = [_monic(pk.pack_terms((old.unpack(m), c) for m, c in ((lm, 1), *tail)),
-                                  guards, p)
-                           for _, lm, tail in divisors]
-            leads[:] = [_lead(lm, pk) for _, lm, _ in divisors]
-            (deg_i, tail_i), (deg_j, tail_j) = leads[i], leads[j]
-        _, lmi, taili = divisors[i]
-        _, lmj, tailj = divisors[j]
-        gcd = (gcd_degree << pk.top) - _gcd(tail_i, tail_j, pk)
-        # S-polynomial of two monic elements: their leading terms cancel;
-        # lcm/lm_i = lm_j/gcd and lcm/lm_j = lm_i/gcd
-        qi = lmj - gcd
-        qj = lmi - gcd
-        work = {m + qi: c for m, c in taili}
-        for m, c in tailj:
-            mm = m + qj
-            nv = (work.get(mm, 0) - c) % p
-            if nv:
-                work[mm] = nv
+    def process(self, budget: int) -> GroebnerBasis:
+        """Process the queued pairs in (lcm degree, i, j) order, and return
+        the reduced basis.  Raises ResourceLimitError once more than
+        `budget` S-pairs have been processed."""
+        ring, p, pk = self.ring, self.p, self.pk
+        guards = pk.guards
+        divisors, leads, heap = self.divisors, self.leads, self.heap
+        processed = 0
+        unit = self.unit
+        while heap and not unit:
+            d, i, j, members, exact = heap[0]
+            if not exact:
+                # a lower bound came up: requeue its pairs by exact lcm degree
+                heapq.heappop(heap)
+                deg_j, tail_j = leads[j]
+                groups: dict[int, int] = {}
+                while members:
+                    low = members & -members
+                    members ^= low
+                    deg_i, tail_i = leads[low.bit_length() - 1]
+                    d = deg_i + deg_j - _gcd(tail_i, tail_j, pk) % pk.fold
+                    groups[d] = groups.get(d, 0) | low
+                for d, group in groups.items():
+                    heapq.heappush(heap, (d, (group & -group).bit_length() - 1, j, group, True))
+                continue
+            members &= members - 1
+            if members:
+                heapq.heapreplace(heap, (d, (members & -members).bit_length() - 1, j, members,
+                                         True))
             else:
-                work.pop(mm, None)
-        r = _reduce(work, divisors, guards, p)
-        if r:
-            unit = push(r)
+                heapq.heappop(heap)
+            processed += 1
+            if processed > budget:
+                raise ResourceLimitError(
+                    f"S-pair budget of {budget} exceeded",
+                    stage="buchberger",
+                    detail={"spairs": processed, "basis": len(divisors),
+                            "queued": sum(e[3].bit_count() for e in heap)})
+            deg_i, tail_i = leads[i]
+            deg_j, tail_j = leads[j]
+            gcd_degree = deg_i + deg_j - d
+            if not gcd_degree:
+                continue  # coprime leading monomials: S-pair reduces to zero
+            if d >= pk.limit:
+                # every term of this pair's reduction has degree at most d
+                self.widen(d)
+                pk = self.pk
+                guards = pk.guards
+                (deg_i, tail_i), (deg_j, tail_j) = leads[i], leads[j]
+            _, lmi, taili = divisors[i]
+            _, lmj, tailj = divisors[j]
+            gcd = (gcd_degree << pk.top) - _gcd(tail_i, tail_j, pk)
+            # S-polynomial of two monic elements: their leading terms cancel;
+            # lcm/lm_i = lm_j/gcd and lcm/lm_j = lm_i/gcd
+            qi = lmj - gcd
+            qj = lmi - gcd
+            work = {m + qi: c for m, c in taili}
+            for m, c in tailj:
+                mm = m + qj
+                nv = (work.get(mm, 0) - c) % p
+                if nv:
+                    work[mm] = nv
+                else:
+                    work.pop(mm, None)
+            r = _reduce(work, divisors, guards, p)
+            if r:
+                unit = self._push(r)
+        self.unit = unit
 
-    if unit:
-        return GroebnerBasis((ring.one(),), processed)
-    if not divisors:
-        return GroebnerBasis((), processed)
+        if unit:
+            return GroebnerBasis((ring.one(),), processed)
+        if not divisors:
+            return GroebnerBasis((), processed)
+        return GroebnerBasis(tuple(pk.poly(ring, g) for g in _reduce_basis(divisors, guards, p)),
+                             processed)
 
-    return GroebnerBasis(tuple(pk.poly(ring, g) for g in _reduce_basis(divisors, guards, p)),
-                         processed)
+
+def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None, *,
+               resume: _Run | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by `generators`.
+
+    Each basis element is kept monic and packed, with its leading-monomial
+    data computed once when it is added.  Pairs are processed in
+    (lcm degree, i, j) order, and a pair whose leading monomials are coprime
+    (disjoint supports) is counted and skipped.  Raises ResourceLimitError
+    once more than `spair_budget` S-pairs have been processed (default from
+    spair_budget_default()).
+
+    `resume`, if given, is a run state saved after adding exactly
+    `generators[:-1]` (checked, not trusted); the run copies it and adds only
+    the last generator.  Its pairs, basis, count and budget cut-off are
+    those of a run from scratch.
+    """
+    if not generators:
+        raise DegenerateInputError("empty generator list")
+    budget = spair_budget if spair_budget is not None else spair_budget_default()
+    ring = generators[0].ring
+    for g in generators[1:]:
+        generators[0]._check_ring(g)
+    if resume is None:
+        run = _Run(ring, _input_degree(generators))
+    else:
+        if resume.ring != ring or resume.inputs != list(generators[:-1]):
+            raise ValueError("the saved run state was not built from generators[:-1]")
+        run = resume.copy()
+        generators = generators[-1:]
+        degree = _input_degree(generators)
+        if degree >= run.pk.limit:
+            run.widen(degree)
+    for g in generators:
+        run.add(g)
+    return run.process(budget)
 
 
 def _reduce_basis(divisors: list[tuple], guards: int, p: int) -> list[dict[int, int]]:
@@ -409,22 +482,56 @@ def ideal_contains_one(generators: Sequence[Polynomial],
     return gb.is_unit_ideal
 
 
-def radical_membership(f: Polynomial, generators: Sequence[Polynomial],
+class Rabinowitsch:
+    """The part of the Rabinowitsch test that depends only on the generators:
+    the ring extended by one auxiliary variable t (appended last, hence
+    lowest priority), the nonzero generators lifted into it, and the
+    Buchberger run state after adding them.  Adding inputs processes no
+    S-pair, so every f tested against the same generators resumes from
+    that state."""
+
+    __slots__ = ("ring", "ext", "lifted", "start")
+
+    def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
+        ext = ring.extend()
+        lifted = [ext.lift(g) for g in generators if not g.is_zero]
+        if not lifted:
+            raise DegenerateInputError("empty generator list")
+        start = _Run(ext, _input_degree(lifted))
+        for g in lifted:
+            start.add(g)
+        self.ring, self.ext, self.lifted, self.start = ring, ext, lifted, start
+
+    def system(self, f: Polynomial) -> list[Polynomial]:
+        """The lifted generators, then 1 - t*f.  That is built from the
+        terms of f: t*m for each term m, then the constant 1.  Multiplying
+        by t keeps the descending grevlex order and gives every term a
+        positive degree, so the terms are in order as built."""
+        p = self.ring.modulus
+        shift = self.ring.padding(f.ring) + (1,)
+        terms = tuple((m + shift, p - c) for m, c in f.terms)
+        return [*self.lifted,
+                Polynomial.from_sorted(self.ext, terms + ((mono_one(self.ext.nvars), 1),))]
+
+
+def radical_membership(f: Polynomial, generators: Sequence[Polynomial] | Rabinowitsch,
                        spair_budget: int | None = None,
                        stats: GroebnerStats | None = None) -> bool:
     """True iff f lies in the radical of the ideal generated by `generators`.
 
     Uses the Rabinowitsch trick: extend the ring by one auxiliary variable t
-    (appended last, hence lowest priority) and test 1 in (generators, 1 - t*f).
-    The certificate is valid over the algebraic closure of the coefficient
-    field.
+    (appended last, hence lowest priority) and test 1 in (generators, 1 - t*f)
+    with one Buchberger run.  The certificate is valid over the algebraic
+    closure of the coefficient field.  `generators` is a sequence of
+    polynomials, or the Rabinowitsch set-up of one, built once and shared by
+    every f tested against it; the run then resumes from the state saved
+    after the generators were added, with the same pairs, basis and count.
     """
     if f.is_zero:
         raise DegenerateInputError("radical membership of the zero polynomial")
-    ext = f.ring.extend()
-    t = ext.variable(ext.nvars - 1)
-    lifted = [ext.lift(g) for g in generators if not g.is_zero]
-    if not lifted:
-        raise DegenerateInputError("empty generator list")
-    return ideal_contains_one(lifted + [ext.one() - t * ext.lift(f)],
-                              spair_budget, stats)
+    setup = (generators if isinstance(generators, Rabinowitsch)
+             else Rabinowitsch(f.ring, generators))
+    gb = buchberger(setup.system(f), spair_budget, resume=setup.start)
+    if stats is not None:
+        stats.absorb(gb)
+    return gb.is_unit_ideal

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .errors import ResourceLimitError
 from .graphs import Graph
-from .polyalg import PrimeField
+from .polyalg import prime_modulus
 
 MAX_HOMOLOGY_VERTICES = 22
 MAX_BETTI_VERTICES = 20
@@ -42,12 +42,6 @@ MAX_BETTI_VERTICES = 20
 
 class DomainError(ValueError):
     """The requested object is undefined for this input (e.g. edgeless graph)."""
-
-
-def _modulus(fld) -> int:
-    if isinstance(fld, PrimeField):
-        return fld.p
-    return PrimeField(int(fld)).p
 
 
 # -- simplicial complexes ------------------------------------------------------
@@ -212,7 +206,7 @@ def reduced_homology_dims(c: SimplicialComplex, fld) -> dict[int, int]:
 
     Only degrees with nonzero homology appear in the result.
     """
-    p = _modulus(fld)
+    p = prime_modulus(fld)
     if len(c.vertices) > MAX_HOMOLOGY_VERTICES:
         raise ResourceLimitError(
             f"homology limited to {MAX_HOMOLOGY_VERTICES} vertices, got {len(c.vertices)}",
@@ -399,7 +393,7 @@ def betti_table(g: Graph, fld) -> BettiTable:
     it; on `dumbbell:4,4,4` and `dumbbell:3,4,5` that meets 40-55% fewer
     connected sets than the label order does.
     """
-    p = _modulus(fld)
+    p = prime_modulus(fld)
     n = g.nvertices
     if n > MAX_BETTI_VERTICES:
         raise ResourceLimitError(

@@ -8,6 +8,7 @@ here are safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Mapping
@@ -55,6 +56,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_modulus(value) -> int:
+    """The prime p of GF(p) named by `value`: a PrimeField, or an integer (an
+    int or any type with __index__) that is a machine-word sized prime.
+    Nothing is truncated: 2.5, 3.0 and "3" are refused with ValueError, like
+    a composite."""
+    if isinstance(value, PrimeField):
+        return value.p
+    try:
+        p = operator.index(value)
+    except TypeError:
+        p = 0  # not an integer: refused below
+    if p >= 1 << 62 or not is_prime(p):
+        raise ValueError(f"modulus must be a machine-word sized prime, got {value!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """GF(p) for a machine-word sized prime p; elements are ints in [0, p)."""
@@ -62,8 +79,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p >= 1 << 62 or not is_prime(self.p):
-            raise ValueError(f"modulus must be a machine-word sized prime, got {self.p!r}")
+        object.__setattr__(self, "p", prime_modulus(self.p))
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -138,7 +154,7 @@ class PolyRing:
     __slots__ = ("field", "names", "_index")
 
     def __init__(self, modulus, names: Iterable[str]):
-        fld = modulus if isinstance(modulus, PrimeField) else PrimeField(int(modulus))
+        fld = modulus if isinstance(modulus, PrimeField) else PrimeField(modulus)
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
@@ -214,18 +230,19 @@ class PolyRing:
 
     def lift(self, poly: "Polynomial") -> "Polynomial":
         """Re-embed a polynomial whose ring's names are a prefix of this ring's."""
-        src = poly.ring
+        # trailing zero exponents change neither grevlex comparisons nor the
+        # reduced coefficients, so the terms stay valid as they are padded
+        pad = self.padding(poly.ring)
+        return Polynomial.from_sorted(self, tuple((m + pad, c) for m, c in poly.terms))
+
+    def padding(self, src: "PolyRing") -> Mono:
+        """The zero exponents that embed a monomial of `src` in this ring;
+        `src` must have a prefix of this ring's names and the same field."""
         if src.names != self.names[: src.nvars]:
             raise DimensionError("source ring is not a prefix of the target ring")
         if src.modulus != self.modulus:
             raise FieldMismatchError(f"GF({src.modulus}) vs GF({self.modulus})")
-        # trailing zero exponents change neither grevlex comparisons nor the
-        # reduced coefficients, so the terms stay valid as they are padded
-        pad = (0,) * (self.nvars - src.nvars)
-        out = object.__new__(Polynomial)
-        object.__setattr__(out, "ring", self)
-        object.__setattr__(out, "terms", tuple((m + pad, c) for m, c in poly.terms))
-        return out
+        return (0,) * (self.nvars - src.nvars)
 
     def convert(self, poly: "Polynomial") -> "Polynomial":
         """Reinterpret a polynomial over the same variables in this ring's field."""
@@ -260,6 +277,16 @@ class Polynomial:
         object.__setattr__(self, "terms",
                            tuple(sorted(clean.items(), key=lambda t: grevlex_key(t[0]),
                                         reverse=True)))
+
+    @classmethod
+    def from_sorted(cls, ring: PolyRing, terms: tuple) -> "Polynomial":
+        """Polynomial of terms that are already valid for `ring`: exponent
+        tuples of its length, coefficients in [1, p), strictly descending in
+        grevlex order.  Nothing is checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")

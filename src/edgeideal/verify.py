@@ -16,9 +16,9 @@ from typing import NamedTuple
 from .errors import ResourceLimitError, UsageError
 from .formulas import pd_for_spec
 from .graphs import FamilySpec, Graph, build, edge_ideal, parse_spec, ring_of
-from .groebner import GroebnerStats, radical_membership, spair_budget_default
+from .groebner import GroebnerStats, Rabinowitsch, radical_membership, spair_budget_default
 from .homcomplex import projective_dimension
-from .polyalg import PrimeField, mono_divides
+from .polyalg import mono_divides, prime_modulus
 from .sequences import GeneratorSequence, sequence_for
 
 DEFAULT_FIELDS = (2, 32003)
@@ -87,12 +87,13 @@ def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
     generated by the sequence, over GF(modulus)."""
     g = g or seq.graph
     ring = ring_of(g, modulus)
-    gens = [ring.convert(q) for q in seq.polys]
+    # the extended ring, the lifted sequence and its run state, once per field
+    setup = Rabinowitsch(ring, [ring.convert(q) for q in seq.polys])
     out = []
     for u, v in g.edges:
         target = ring.term(1, ring.monomial(u, v))
         try:
-            out.append(radical_membership(target, gens, spair_budget, stats))
+            out.append(radical_membership(target, setup, spair_budget, stats))
         except ResourceLimitError as exc:
             # keep how far the run got (buchberger's S-pair count and queue)
             raise ResourceLimitError(
@@ -132,9 +133,10 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
     if not fields:
         raise UsageError("certify needs at least one field")
     # a bad or repeated modulus, or a bad S-pair budget (the argument, else
-    # $EDGEIDEAL_SPAIR_BUDGET), fails before any field's work
+    # $EDGEIDEAL_SPAIR_BUDGET), fails before any field's work; only the
+    # validated ints are passed on and reported
     try:
-        moduli = [PrimeField(int(p)).p for p in fields]
+        moduli = tuple(prime_modulus(p) for p in fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if len(set(moduli)) != len(moduli):
@@ -159,7 +161,7 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
         forward = tuple(verify_forward(seq, graph))
         reverse_by_field = [
             verify_reverse(seq, graph, p, spair_budget=spair_budget, stats=stats)
-            for p in fields
+            for p in moduli
         ]
         reverse_ok = [all(oks) for oks in zip(*reverse_by_field)]
         reverse = tuple(ReverseCheck(f"{u}*{v}", ok)
@@ -172,7 +174,7 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
     pd_by_field: dict[str, int] = {}
     if length is None or graph.nvertices <= homology_max_vertices:
         homology_stage = "computed"
-        for p in fields:
+        for p in moduli:
             pd_by_field[str(p)] = projective_dimension(graph, p)
         values = set(pd_by_field.values())
         if len(values) == 1:
@@ -185,7 +187,7 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
 
     return VerificationReport(
         graph_spec=str(spec),
-        fields=tuple(fields),
+        fields=moduli,
         forward=forward,
         reverse=reverse,
         sequence_length=length,

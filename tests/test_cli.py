@@ -206,8 +206,15 @@ def test_composite_modulus_exit_two(capsys):
     assert code == 2 and "prime" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "matrix"])
+def test_fractional_field_exit_two(capsys, command):
+    argv = ["--graph", "cycle:5"] if command == "verify" else ["--max-vertices", "5"]
+    code, out, err = run(capsys, command, *argv, "--fields", "2,2.5")
+    assert code == 2 and out == "" and "bad field list" in err
+
+
 @pytest.mark.parametrize("command", ["pd", "betti"])
-@pytest.mark.parametrize("value", ["4", "1", "x"])
+@pytest.mark.parametrize("value", ["4", "1", "x", "2.5"])
 def test_bad_field_exit_two_before_any_work(capsys, monkeypatch, command, value):
     # cycle:30 is over the homology limit, so `pd` would otherwise never
     # reach the field

@@ -12,13 +12,21 @@ from edgeideal.groebner import (
     FIELD_BITS,
     DegenerateInputError,
     GroebnerStats,
+    Rabinowitsch,
     buchberger,
     ideal_contains_one,
     normal_form,
     radical_membership,
     s_polynomial,
 )
-from edgeideal.polyalg import PolyRing, mono_divides, mono_div, mono_lcm
+from edgeideal.polyalg import (
+    DimensionError,
+    FieldMismatchError,
+    PolyRing,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+)
 from edgeideal.sequences import bicyclic_vertex_sequence, cycle_sequence, sequence_for
 from oracles import (
     ReferenceBudgetExceeded,
@@ -396,6 +404,110 @@ def test_radical_membership_rejects_zero():
         radical_membership(R.zero(), [R.one()])
 
 
+def test_radical_membership_checks_with_a_set_up():
+    # the same checks whether the generators come as a list or as a set-up
+    seq = cycle_sequence(5, modulus=2)
+    R = seq.ring
+    setup = Rabinowitsch(R, list(seq.polys))
+    f = R.term(1, R.monomial("x3", "x4"))
+    for gens in (list(seq.polys), setup):
+        assert radical_membership(f, gens)
+        with pytest.raises(DegenerateInputError):
+            radical_membership(R.zero(), gens)
+        with pytest.raises(FieldMismatchError):
+            radical_membership(PolyRing(3, R.names).term(1, R.monomial("x3", "x4")), gens)
+        with pytest.raises(DimensionError):
+            other = PolyRing(2, ["y1", "y2"])
+            radical_membership(other.term(1, other.monomial("y1", "y2")), gens)
+    with pytest.raises(DegenerateInputError, match="empty generator list"):
+        radical_membership(f, [R.zero()])
+    with pytest.raises(DegenerateInputError, match="empty generator list"):
+        Rabinowitsch(R, [])
+
+
+# -- runs resumed from a saved state -----------------------------------------------------
+
+def _saved(gens):
+    """The run state after adding every generator but the last."""
+    start = groebner._Run(gens[0].ring, groebner._input_degree(gens[:-1]))
+    for g in gens[:-1]:
+        start.add(g)
+    return start
+
+
+def _resumes_like_a_fresh_run(gens, rng=None):
+    """A run resumed from the saved state has the basis, count and, for
+    every budget below the count, the cut-off of the run from scratch, and
+    leaves the saved state as it was.  A run of more than 100 pairs, whose
+    every budget would take seconds, gets 20 budgets drawn from `rng`."""
+    start = _saved(gens)
+    fresh = buchberger(gens)
+    budgets = range(fresh.spairs_processed + 1)
+    if fresh.spairs_processed > 100:
+        budgets = [0, *rng.sample(budgets, 20), fresh.spairs_processed - 1]
+    for budget in (None, *budgets):
+        if budget is not None and budget < fresh.spairs_processed:
+            with pytest.raises(ResourceLimitError) as want:
+                buchberger(gens, spair_budget=budget)
+            with pytest.raises(ResourceLimitError) as got:
+                buchberger(gens, spair_budget=budget, resume=start)
+            assert got.value.detail == want.value.detail
+        else:
+            gb = buchberger(gens, spair_budget=budget, resume=start)
+            assert (gb.generators, gb.spairs_processed) == (fresh.generators,
+                                                            fresh.spairs_processed)
+    return fresh
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_resumed_runs_match_fresh_runs(p):
+    rng = random.Random(p + 2)
+    for _ in range(40):
+        _resumes_like_a_fresh_run(_random_system(rng, p), rng)
+    R = PolyRing(p, ["x1", "x2", "x3", "t"])
+    x1, x2, x3, t = (R.variable(i) for i in range(4))
+    quadrics = [x1 * x2 + x3 * x3, x2 * x3 + x1 * x1]
+    # a unit among the saved inputs, zero generators before and as the last
+    # input, and a last input of a degree past the packed fields
+    assert _resumes_like_a_fresh_run([x1 * x2, R.constant(5), x2 * x3,
+                                      R.one() - t * x1]).is_unit_ideal
+    assert not _resumes_like_a_fresh_run([R.zero(), x1 * x2, R.zero(), x2 * x3,
+                                          R.one() - t * x1 * x3]).is_unit_ideal
+    assert _resumes_like_a_fresh_run([*quadrics, R.zero()]).spairs_processed > 0
+    big = R.term(1, (1 << (FIELD_BITS - 1), 0, 0, 0))
+    assert _resumes_like_a_fresh_run([*quadrics, big * x1 - x2 * x3]).spairs_processed > 0
+
+
+def test_a_resumed_run_widens_its_copy(monkeypatch):
+    widths = []
+
+    class Recorded(groebner._Packing):
+        def __init__(self, nvars, degree):
+            super().__init__(nvars, degree)
+            widths.append(self.width)
+
+    monkeypatch.setattr(groebner, "_Packing", Recorded)
+    R = PolyRing(32003, ["x", "y", "t"])
+    x, y, t = (R.variable(i) for i in range(3))
+    gens = [x * y + y * y, R.one() - t * R.term(1, (1 << (FIELD_BITS - 1), 0, 0))]
+    start = _saved(gens)
+    assert buchberger(gens, resume=start) == buchberger(gens)
+    # the saved state, the copy widened once, the run from scratch
+    assert widths == [FIELD_BITS, 2 * FIELD_BITS, 2 * FIELD_BITS]
+    assert start.pk.width == FIELD_BITS
+
+
+def test_a_saved_state_must_match_the_inputs():
+    R = ring(2)
+    gens = [edge(R, "x1", "x2"), edge(R, "x2", "x3"), edge(R, "x3", "x4")]
+    start = _saved(gens)
+    for bad in (gens[1:], [gens[1], gens[0], gens[2]], [gens[0], gens[2]],
+                [edge(ring(3), "x1", "x2"), edge(ring(3), "x2", "x3"), edge(ring(3), "x3", "x4")]):
+        with pytest.raises(ValueError, match="saved run state"):
+            buchberger(bad, resume=start)
+    assert buchberger(list(gens), resume=start) == buchberger(gens)
+
+
 # -- pinned S-pair counts ----------------------------------------------------------------
 
 GOLDEN_SPAIRS = Path(__file__).resolve().parent / "data" / "spairs12.jsonl"
@@ -403,15 +515,25 @@ GOLDEN_SPAIRS = Path(__file__).resolve().parent / "data" / "spairs12.jsonl"
 
 def _edge_runs(spec, p):
     """(S-pairs processed, basis length) of the Rabinowitsch run of every
-    edge of `spec` over GF(p), as radical_membership builds it."""
+    edge of `spec` over GF(p), built by polynomial arithmetic and run from
+    scratch.  The run resumed from the field's set-up, as verify_reverse
+    makes it, must have the same inputs, basis and count."""
     seq = sequence_for(spec)
     R = ring_of(seq.graph, p)
+    gens = [R.convert(q) for q in seq.polys]
+    setup = Rabinowitsch(R, gens)
     ext = R.extend()
     t = ext.variable(ext.nvars - 1)
-    gens = [ext.lift(g) for g in (R.convert(q) for q in seq.polys) if not g.is_zero]
+    lifted = [ext.lift(g) for g in gens if not g.is_zero]
     runs = []
     for u, v in seq.graph.edges:
-        gb = buchberger(gens + [ext.one() - t * ext.lift(R.term(1, R.monomial(u, v)))])
+        f = R.term(1, R.monomial(u, v))
+        system = lifted + [ext.one() - t * ext.lift(f)]
+        gb = buchberger(system)
+        assert setup.system(f) == system
+        resumed = buchberger(setup.system(f), resume=setup.start)
+        assert (resumed.generators, resumed.spairs_processed) == (gb.generators,
+                                                                  gb.spairs_processed)
         runs.append([gb.spairs_processed, len(gb)])
     return runs
 
@@ -419,7 +541,8 @@ def _edge_runs(spec, p):
 def test_spair_counts_match_the_golden():
     # one line [spec, p, per-edge [spairs, basis length]] per cycle, bicyclic
     # and dumbbell instance up to 12 vertices over GF(2) and GF(32003),
-    # captured before monomials were packed into integers
+    # captured before monomials were packed into integers; the runs resumed
+    # from each field's set-up give the same lines
     got = [json.dumps([str(spec), p, _edge_runs(spec, p)])
            for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell"), 12)
            for p in (2, 32003)]

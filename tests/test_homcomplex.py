@@ -375,6 +375,15 @@ def test_pd_spot_values():
     assert projective_dimension(build_from_string("line:4"), 2) == 2
 
 
+def test_fields_must_be_integers():
+    # 2.9 once ran over GF(2); an int subclass such as bool is an integer
+    g = build_from_string("cycle:5")
+    for bad in (2.9, 3.0, "3", True):
+        for fn in (projective_dimension, betti_table):
+            with pytest.raises(ValueError, match="prime"):
+                fn(g, bad)
+
+
 def test_pd_requires_edges():
     with pytest.raises(DomainError):
         projective_dimension(build_from_string("line:1"), 2)

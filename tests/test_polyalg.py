@@ -15,6 +15,7 @@ from edgeideal.polyalg import (
     mono_one,
     poly_from_json,
     poly_to_json,
+    prime_modulus,
 )
 from oracles import convolve, grevlex_greater
 
@@ -31,6 +32,15 @@ def test_prime_field_rejects_composites():
     for bad in (0, 1, 4, 15, 32004):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+
+def test_ring_fields_must_be_integers():
+    # PolyRing(3.7, ...) once gave GF(3); a PrimeField or an integer type passes
+    for bad in (3.7, 3.0, "3", None):
+        with pytest.raises(ValueError, match="prime"):
+            PolyRing(bad, ["x"])
+    assert PolyRing(PrimeField(3), ["x"]) == PolyRing(3, ["x"])
+    assert prime_modulus(PrimeField(5)) == prime_modulus(5) == PrimeField(5).p == 5
 
 
 @pytest.mark.parametrize("p", MODULI)

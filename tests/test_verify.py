@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from edgeideal import verify
+from edgeideal import groebner, verify
 from edgeideal.errors import ResourceLimitError, UsageError
 from edgeideal.graphs import build_from_string, parse_spec, ring_of
 from edgeideal.sequences import GeneratorSequence, cycle_sequence
@@ -137,6 +137,61 @@ def test_certify_checks_fields_before_any_work(monkeypatch):
         certify("cycle:5", (2, 2))
     with pytest.raises(UsageError, match="S-pair budget"):
         certify("cycle:5", spair_budget=-1)
+
+
+@pytest.mark.parametrize("spec", ["cycle:7", "bicyclic:3,4"])
+def test_certify_keeps_the_call_contract_the_tracer_reads(spec, monkeypatch):
+    # perfbench/tracing.py patches these names and reads their arguments:
+    # verify_reverse gets an int modulus, radical_membership gets the edge
+    # polynomial first, once per edge and field, and each of its runs is
+    # one groebner.buchberger call on a list whose first element has the field
+    calls = {"verify_reverse": [], "radical_membership": [], "buchberger": []}
+
+    def recorded(module, name, result_of):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name].append(result_of(args, out))
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    recorded(verify, "verify_reverse", lambda args, out: args[2])
+    recorded(verify, "radical_membership", lambda args, out: args[0])
+    recorded(groebner, "buchberger",
+             lambda args, out: (args[0][0].ring.modulus, out.spairs_processed))
+    report = certify(spec, (2, 32003))
+    assert report.passed
+    graph = build_from_string(spec)
+    assert calls["verify_reverse"] == [2, 32003]
+    assert all(type(p) is int for p in calls["verify_reverse"])
+    per_edge = [(p, ((ring_of(graph, p).monomial(u, v), 1),))
+                for p in (2, 32003) for u, v in graph.edges]
+    assert [(f.ring.modulus, f.terms) for f in calls["radical_membership"]] == per_edge
+    assert [p for p, _ in calls["buchberger"]] == [p for p, _ in per_edge]
+    assert len(calls["buchberger"]) == report.stats["groebner_runs"]
+    assert sum(n for _, n in calls["buchberger"]) == report.stats["s_pairs"]
+
+
+class _Index:
+    """An integer type that is not int: only __index__ says what it is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_certify_refuses_non_integer_fields_and_reports_ints(monkeypatch):
+    monkeypatch.setattr(verify, "verify_reverse", None)  # calling it would raise TypeError
+    for fields in ((2.5,), ("3",), (2, 3.0), (True,)):
+        with pytest.raises(UsageError, match="prime"):
+            certify("cycle:5", fields)
+    monkeypatch.undo()
+    report = certify("cycle:5", (_Index(3),))
+    assert report.fields == (3,) and type(report.fields[0]) is int
+    assert report.passed and report.to_json_dict()["stats"]["pd_homology_by_field"] == {"3": 3}
 
 
 GOLDEN_CERTIFY = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "golden_certify.jsonl"
