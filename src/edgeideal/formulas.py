@@ -8,13 +8,12 @@ reports stay auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import ConstructionError, FamilySpec
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     value: int
     case_tag: str
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError, UsageError
 from .polyalg import Mono, PolyRing
@@ -86,8 +86,7 @@ class Graph:
         return len(self.neighbors(label))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Parsed family spec: kind plus integer parameters (or two union parts)."""
 
     kind: str
@@ -97,7 +96,7 @@ class FamilySpec:
     def __str__(self):
         if self.kind == "union":
             return "union:" + "+".join(str(p) for p in self.parts)
-        return f"{self.kind}:" + ",".join(str(p) for p in self.params)
+        return f"{self.kind}:" + ",".join(map(str, self.params))
 
 
 _ARITY = {"cycle": 1, "line": 1, "bicyclic": 2, "dumbbell": 3}
@@ -107,13 +106,12 @@ def parse_spec(text: str) -> FamilySpec:
     """Parse the mini-language: `cycle:7`, `line:5`, `bicyclic:4,5`,
     `dumbbell:3,1,4`, `union:cycle:4+line:2`."""
     text = text.strip()
-    if text.startswith("union:"):
-        body = text[len("union:"):]
-        halves = body.split("+")
+    kind, sep, rest = text.partition(":")
+    if kind == "union" and sep:
+        halves = rest.split("+")
         if len(halves) != 2:
             raise SpecParseError(f"union takes exactly two operands: {text!r}")
         return FamilySpec("union", parts=tuple(parse_spec(h) for h in halves))
-    kind, sep, rest = text.partition(":")
     if not sep or kind not in _ARITY:
         raise SpecParseError(f"unknown graph spec {text!r}")
     try:

@@ -50,17 +50,44 @@ of one generator list J share J: a `Rabinowitsch` set-up extends the ring
 by t, lifts J and saves the state after J's inputs once, and the run for
 each f copies that state, adds 1 - t*f and processes the pairs.  It
 processes the same pairs, in the same order, as a run from scratch.
+
+The coefficients of a run are taken mod any squarefree N, not only a
+prime, and one run serves every field GF(p) with p dividing N (its lanes).
+By the Chinese remainder theorem, Z/N is the product of the fields, and
+reducing mod p is a ring map to lane p.  The control flow of a run reads
+only monomials, zero tests and inverses.  A coefficient that is 0 mod p
+but not mod N is a term lane p does not have: reducing it adds 0 to that
+lane, and keeping it keeps a zero term, so lane p's projection of every
+step is that step of the run over GF(p).  Lanes can part only where a
+remainder's leading coefficient is 0 in some lane, and that is exactly
+where its inverse mod N does not exist.  (A product of two nonzero
+coefficients can be 0 mod N: it is a term no lane has.)  So `_monic`
+inverts with pow(lc, -1, N) and raises `_Split` when it cannot; such a run
+is dropped, and each field runs on its own, over GF(p).  A basis is
+projected to GF(p) by reducing every coefficient mod p and dropping the
+terms that become 0.
+
+`Lanes` holds one such state per generator list, saved after the lifted
+generators are added, and each field's set-up is a view of it (`_Lane`).
+The first field's run for an f runs over Z/N and stores its count and
+basis; a later field reads its own projection of them.  A field runs on
+its own when the run split, when its generators are not the projection of
+the shared ones, or when its budget is below the stored count.  This is
+Traverso's trace idea (Groebner trace algorithms, ISSAC 1988) and Arnold's
+lucky primes (J. Symb. Comput. 35 (2003)) the other way round: every step
+is checked, so no prime has to be trusted to be lucky.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ResourceLimitError, UsageError
-from .polyalg import Mono, Polynomial, PolyRing, mono_div, mono_lcm, mono_one
+from .polyalg import Mono, Polynomial, PolyRing, mono_one
 
 DEFAULT_SPAIR_BUDGET = 200_000
 SPAIR_BUDGET_ENV = "EDGEIDEAL_SPAIR_BUDGET"
@@ -114,20 +141,6 @@ class GroebnerBasis:
     @property
     def is_unit_ideal(self) -> bool:
         return any(g and g.degree() == 0 for g in self.generators)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """(lcm/lt(f))*f - (lcm/lt(g))*g for the lcm of the leading monomials."""
-    if f.is_zero or g.is_zero:
-        raise DegenerateInputError("s_polynomial of a zero polynomial")
-    f._check_ring(g)
-    lmf, lcf = f.leading_term()
-    lmg, lcg = g.leading_term()
-    lcm = mono_lcm(lmf, lmg)
-    fld = f.ring.field
-    left = f.mul_term(fld.inv(lcf), mono_div(lcm, lmf))
-    right = g.mul_term(fld.inv(lcg), mono_div(lcm, lmg))
-    return left - right
 
 
 class _Packing:
@@ -207,13 +220,22 @@ def _reduce(work: dict[int, int], divisors: Sequence[tuple], guards: int,
     return remainder
 
 
-def _monic(terms: dict[int, int], guards: int, p: int) -> tuple[int, int, tuple]:
+class _Split(Exception):
+    """A leading coefficient of a run over Z/N is 0 modulo a prime factor of
+    N: that prime's lane parts from the others there."""
+
+
+def _monic(terms: dict[int, int], guards: int, n: int) -> tuple[int, int, tuple]:
     """Divisor of the monic multiple of nonzero packed terms in descending
-    order: (leading monomial plus guard bits, leading monomial, tail)."""
+    order: (leading monomial plus guard bits, leading monomial, tail).
+    Raises _Split when the leading coefficient has no inverse mod n."""
     items = iter(terms.items())
     lm, lc = next(items)
-    inv = pow(lc, p - 2, p)
-    return lm + guards, lm, tuple((m, c * inv % p) for m, c in items)
+    try:
+        inv = pow(lc, -1, n)
+    except ValueError:  # lc is 0 modulo a prime factor of n
+        raise _Split from None
+    return lm + guards, lm, tuple((m, c * inv % n) for m, c in items)
 
 
 def _gcd(a: int, b: int, pk: _Packing) -> int:
@@ -229,8 +251,9 @@ def _lead(lm: int, pk: _Packing) -> tuple[int, int]:
     return degree, (degree << pk.top) - lm
 
 
-def _input_degree(polys: Sequence[Polynomial]) -> int:
-    return max((sum(m) for f in polys for m, _ in f.terms), default=0)
+def _input_degree(inputs: Sequence[tuple]) -> int:
+    """The largest degree of a term of the inputs, each a tuple of terms."""
+    return max((sum(m) for terms in inputs for m, _ in terms), default=0)
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -245,7 +268,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
             raise DegenerateInputError("zero polynomial in normal-form basis")
         f._check_ring(b)
     # every term of the reduction has a degree at most that of a term of f
-    pk = _Packing(ring.nvars, _input_degree([f, *basis]))
+    pk = _Packing(ring.nvars, _input_degree([f.terms, *(b.terms for b in basis)]))
     divisors = [_monic(pk.pack_terms(b.terms), pk.guards, p) for b in basis]
     return pk.poly(ring, _reduce(pk.pack_terms(f.terms), divisors, pk.guards, p))
 
@@ -253,18 +276,21 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 class _Run:
     """The state of one Buchberger run: the packing, the monic divisors and
     leading-monomial data of the basis so far, the per-variable and
-    per-degree bitsets of basis indices, the pair heap and the inputs added.
+    per-degree bitsets of basis indices, the pair heap and the inputs added
+    (each a tuple of terms).
 
     Adding an input reduces it and queues its pairs but processes no S-pair,
     so a state saved after some inputs is the same for every run that starts
-    with them; `copy` lets each such run resume from it."""
+    with them; `then` lets each such run resume from it.  `ring` gives the
+    variables; the coefficients are taken mod `modulus`, by default the
+    ring's prime, else a product of distinct primes, one lane each."""
 
-    __slots__ = ("ring", "p", "pk", "divisors", "leads", "holders", "by_degree", "heap",
+    __slots__ = ("ring", "modulus", "pk", "divisors", "leads", "holders", "by_degree", "heap",
                  "unit", "inputs")
 
-    def __init__(self, ring: PolyRing, degree: int):
+    def __init__(self, ring: PolyRing, degree: int, modulus: int | None = None):
         self.ring = ring
-        self.p = ring.modulus
+        self.modulus = ring.modulus if modulus is None else modulus
         self.pk = _Packing(ring.nvars, degree)  # fields for monomials up to `degree`
         self.divisors: list[tuple] = []  # (lm + guards, lm, tail) of each basis element
         self.leads: list[tuple[int, int]] = []  # _lead of each basis element
@@ -273,24 +299,43 @@ class _Run:
         # (lcm degree or a lower bound of it, lowest i, j, bitset of the i, exact?)
         self.heap: list[tuple[int, int, int, int, bool]] = []
         self.unit = False  # a unit was found: the ideal is the whole ring
-        self.inputs: list[Polynomial] = []
+        self.inputs: list[tuple] = []
 
-    def copy(self) -> "_Run":
+    @classmethod
+    def saved(cls, ring: PolyRing, inputs: Sequence[tuple],
+              modulus: int | None = None) -> "_Run":
+        """The state after adding each of `inputs`."""
+        run = cls(ring, _input_degree(inputs), modulus)
+        for terms in inputs:
+            run.add(terms)
+        return run
+
+    def then(self, terms: tuple) -> "_Run":
+        """A copy of this state that has added one more input, its fields
+        widened first if they do not take the input's degree."""
         new = object.__new__(_Run)
-        new.ring, new.p, new.pk, new.unit = self.ring, self.p, self.pk, self.unit
+        new.ring, new.modulus, new.pk, new.unit = self.ring, self.modulus, self.pk, self.unit
         new.divisors, new.leads, new.holders = self.divisors[:], self.leads[:], self.holders[:]
         new.by_degree, new.heap, new.inputs = self.by_degree.copy(), self.heap[:], self.inputs[:]
+        degree = _input_degree((terms,))
+        if degree >= new.pk.limit:
+            new.widen(degree)
+        new.add(terms)
         return new
 
-    def add(self, g: Polynomial):
+    def resume(self, terms: tuple, budget: int) -> GroebnerBasis:
+        """The reduced basis of the run from this state that adds `terms`."""
+        return _basis(self.ring, self.then(terms).finish(budget))
+
+    def add(self, terms: tuple):
         """Reduce an input, whose degree the packing takes, by the basis so
         far and add the remainder.  Once a unit is found, inputs are only
         recorded."""
-        self.inputs.append(g)
-        if self.unit or g.is_zero:
+        self.inputs.append(terms)
+        if self.unit or not terms:
             return
         pk = self.pk
-        r = _reduce(pk.pack_terms(g.terms), self.divisors, pk.guards, self.p)
+        r = _reduce(pk.pack_terms(terms), self.divisors, pk.guards, self.modulus)
         if r:
             self.unit = self._push(r)
 
@@ -300,7 +345,7 @@ class _Run:
         self.pk = pk
         self.divisors[:] = [
             _monic(pk.pack_terms((old.unpack(m), c) for m, c in ((lm, 1), *tail)), pk.guards,
-                   self.p)
+                   self.modulus)
             for _, lm, tail in self.divisors]
         self.leads[:] = [_lead(lm, pk) for _, lm, _ in self.divisors]
 
@@ -308,7 +353,7 @@ class _Run:
         """Add the monic multiple of nonzero packed terms and queue its
         pairs; True means a unit was found."""
         pk = self.pk
-        new = _monic(remainder, pk.guards, self.p)
+        new = _monic(remainder, pk.guards, self.modulus)
         lead = _lead(new[1], pk)
         degree, tail = lead
         if not degree:
@@ -343,11 +388,12 @@ class _Run:
         self.leads.append(lead)
         return False
 
-    def process(self, budget: int) -> GroebnerBasis:
-        """Process the queued pairs in (lcm degree, i, j) order, and return
-        the reduced basis.  Raises ResourceLimitError once more than
-        `budget` S-pairs have been processed."""
-        ring, p, pk = self.ring, self.p, self.pk
+    def finish(self, budget: int) -> tuple[int, _Packing, list[dict[int, int]] | None]:
+        """Process the queued pairs in (lcm degree, i, j) order.  Returns the
+        number processed, the packing and the packed reduced basis, None for
+        the unit ideal.  Raises ResourceLimitError once more than `budget`
+        S-pairs have been processed."""
+        p, pk = self.modulus, self.pk
         guards = pk.guards
         divisors, leads, heap = self.divisors, self.leads, self.heap
         processed = 0
@@ -411,17 +457,21 @@ class _Run:
             if r:
                 unit = self._push(r)
         self.unit = unit
+        return processed, pk, None if unit else _reduce_basis(divisors, guards, p)
 
-        if unit:
-            return GroebnerBasis((ring.one(),), processed)
-        if not divisors:
-            return GroebnerBasis((), processed)
-        return GroebnerBasis(tuple(pk.poly(ring, g) for g in _reduce_basis(divisors, guards, p)),
-                             processed)
+
+def _basis(ring: PolyRing, outcome: tuple[int, _Packing, list | None]) -> GroebnerBasis:
+    """The reduced basis over `ring` of a run's outcome, whose modulus the
+    ring's prime divides: that lane's projection, as `Polynomial` reduces
+    each coefficient mod p and drops the terms that become 0."""
+    processed, pk, reduced = outcome
+    if reduced is None:
+        return GroebnerBasis((ring.one(),), processed)
+    return GroebnerBasis(tuple(pk.poly(ring, g) for g in reduced), processed)
 
 
 def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None, *,
-               resume: _Run | None = None) -> GroebnerBasis:
+               resume: _Run | _Lane | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `generators`.
 
     Each basis element is kept monic and packed, with its leading-monomial
@@ -431,10 +481,11 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
     once more than `spair_budget` S-pairs have been processed (default from
     spair_budget_default()).
 
-    `resume`, if given, is a run state saved after adding exactly
-    `generators[:-1]` (checked, not trusted); the run copies it and adds only
-    the last generator.  Its pairs, basis, count and budget cut-off are
-    those of a run from scratch.
+    `resume`, if given, is the `start` of a `Rabinowitsch` set-up, or any
+    run state saved after adding exactly `generators[:-1]` (checked, not
+    trusted); the run resumes from it and adds only the last generator.
+    Its pairs, basis, count and budget cut-off are those of a run from
+    scratch.
     """
     if not generators:
         raise DegenerateInputError("empty generator list")
@@ -443,18 +494,10 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
     for g in generators[1:]:
         generators[0]._check_ring(g)
     if resume is None:
-        run = _Run(ring, _input_degree(generators))
-    else:
-        if resume.ring != ring or resume.inputs != list(generators[:-1]):
-            raise ValueError("the saved run state was not built from generators[:-1]")
-        run = resume.copy()
-        generators = generators[-1:]
-        degree = _input_degree(generators)
-        if degree >= run.pk.limit:
-            run.widen(degree)
-    for g in generators:
-        run.add(g)
-    return run.process(budget)
+        return _basis(ring, _Run.saved(ring, [g.terms for g in generators]).finish(budget))
+    if resume.ring != ring or resume.inputs != [g.terms for g in generators[:-1]]:
+        raise ValueError("the saved run state was not built from generators[:-1]")
+    return resume.resume(generators[-1].terms, budget)
 
 
 def _reduce_basis(divisors: list[tuple], guards: int, p: int) -> list[dict[int, int]]:
@@ -472,14 +515,77 @@ def _reduce_basis(divisors: list[tuple], guards: int, p: int) -> list[dict[int, 
     return reduced
 
 
-def ideal_contains_one(generators: Sequence[Polynomial],
-                       spair_budget: int | None = None,
-                       stats: GroebnerStats | None = None) -> bool:
-    """True iff the reduced Groebner basis of the ideal is {1}."""
-    gb = buchberger(generators, spair_budget)
-    if stats is not None:
-        stats.absorb(gb)
-    return gb.is_unit_ideal
+class _Joint:
+    """One Buchberger run for several fields GF(p) at once, over Z/N with N
+    the product of the primes (`moduli`, the lanes): the state after adding
+    the lifted generators, their coefficients read as integers mod N, and
+    the outcome of each last input run from it so far (None for a run that
+    split)."""
+
+    __slots__ = ("moduli", "modulus", "inputs", "start", "outcomes")
+
+    def __init__(self, ring: PolyRing, generators: Sequence[Polynomial],
+                 moduli: tuple[int, ...]):
+        n = math.prod(moduli)
+        ext = ring.extend()
+        pad = (0,) * (ext.nvars - ring.nvars)
+        lifted = (tuple((m + pad, c % n) for m, c in g.terms if c % n) for g in generators)
+        self.moduli, self.modulus = moduli, n
+        self.inputs = [terms for terms in lifted if terms]
+        try:
+            self.start: _Run | None = _Run.saved(ext, self.inputs, n)
+        except _Split:
+            self.start = None
+        self.outcomes: dict[tuple, tuple | None] = {}
+
+    def serves(self, p: int, inputs: list[tuple]) -> bool:
+        """True when GF(p) is a lane, the inputs did not split, and `inputs`
+        are their projection: the same terms, less those that are 0 mod p."""
+        return (self.start is not None and p in self.moduli
+                and inputs == [tuple((m, c % p) for m, c in terms if c % p)
+                               for terms in self.inputs])
+
+    def outcome(self, terms: tuple, p: int, budget: int) -> tuple | None:
+        """The outcome of the run that adds a lift of lane p's last input
+        `terms`: stored, or run now under `budget`; None if it split.
+
+        The lift reads each coefficient a but the last as a - p, and the last
+        as a.  So the last input 1 - t*f of a Rabinowitsch system lifts to
+        1 - t*F, F being f with its coefficients read as integers in [1, p),
+        and every lane whose f is read from the same integers finds it."""
+        n = self.modulus
+        key = (*((m, (c - p) % n) for m, c in terms[:-1]), *terms[-1:])
+        try:
+            return self.outcomes[key]
+        except KeyError:
+            pass
+        try:
+            outcome = self.start.then(key).finish(budget)
+        except _Split:
+            outcome = None
+        self.outcomes[key] = outcome
+        return outcome
+
+
+class _Lane:
+    """One field's view of a `_Joint`, resumed by `buchberger` like a saved
+    run state, with that field's ring and inputs.  A run that split, or
+    whose stored count is over the budget of the call, runs on its own from
+    the field's own state, built the first time it is needed."""
+
+    __slots__ = ("ring", "inputs", "joint", "own")
+
+    def __init__(self, ring: PolyRing, inputs: list[tuple], joint: _Joint):
+        self.ring, self.inputs, self.joint = ring, inputs, joint
+        self.own: _Run | None = None
+
+    def resume(self, terms: tuple, budget: int) -> GroebnerBasis:
+        outcome = self.joint.outcome(terms, self.ring.modulus, budget)
+        if outcome is None or outcome[0] > budget:
+            if self.own is None:
+                self.own = _Run.saved(self.ring, self.inputs)
+            return self.own.resume(terms, budget)
+        return _basis(self.ring, outcome)
 
 
 class Rabinowitsch:
@@ -488,19 +594,23 @@ class Rabinowitsch:
     lowest priority), the nonzero generators lifted into it, and the
     Buchberger run state after adding them.  Adding inputs processes no
     S-pair, so every f tested against the same generators resumes from
-    that state."""
+    that state.  Given a `_Joint` that serves this field (see `Lanes`), the
+    state is this field's view of it."""
 
     __slots__ = ("ring", "ext", "lifted", "start")
 
-    def __init__(self, ring: PolyRing, generators: Sequence[Polynomial]):
+    def __init__(self, ring: PolyRing, generators: Sequence[Polynomial],
+                 joint: _Joint | None = None):
         ext = ring.extend()
         lifted = [ext.lift(g) for g in generators if not g.is_zero]
         if not lifted:
             raise DegenerateInputError("empty generator list")
-        start = _Run(ext, _input_degree(lifted))
-        for g in lifted:
-            start.add(g)
-        self.ring, self.ext, self.lifted, self.start = ring, ext, lifted, start
+        inputs = [g.terms for g in lifted]
+        if joint is not None and joint.serves(ring.modulus, inputs):
+            self.start: _Run | _Lane = _Lane(ext, inputs, joint)
+        else:
+            self.start = _Run.saved(ext, inputs)
+        self.ring, self.ext, self.lifted = ring, ext, lifted
 
     def system(self, f: Polynomial) -> list[Polynomial]:
         """The lifted generators, then 1 - t*f.  That is built from the
@@ -512,6 +622,35 @@ class Rabinowitsch:
         terms = tuple((m + shift, p - c) for m, c in f.terms)
         return [*self.lifted,
                 Polynomial.from_sorted(self.ext, terms + ((mono_one(self.ext.nvars), 1),))]
+
+
+class Lanes:
+    """Rabinowitsch set-ups of one generator list over the fields GF(p) of
+    `moduli` that share one Buchberger run per tested f, over Z/N with N
+    the product of the moduli.  The shared state is built when the first
+    field asks for its set-up, and let go once every field has: from then
+    on only the set-ups hold it."""
+
+    __slots__ = ("moduli", "joint", "waiting")
+
+    def __init__(self, moduli: Sequence[int]):
+        self.moduli = tuple(moduli)
+        self.joint: _Joint | None = None  # while held, `waiting` has the fields yet to ask
+
+    def setup(self, ring: PolyRing, generators: Sequence[Polynomial]) -> Rabinowitsch:
+        """The set-up of `generators` over `ring`'s field, read as
+        `ring.convert` reads them: each coefficient c, an integer, as c mod p.
+        The shared run reads c as c mod N.  A field outside `moduli`, or
+        generators other than the first set-up's, get a state of their own."""
+        converted = [ring.convert(q) for q in generators]
+        joint = self.joint
+        if joint is None:
+            joint = self.joint = _Joint(ring, generators, self.moduli)
+            self.waiting = set(self.moduli)
+        self.waiting.discard(ring.modulus)
+        if not self.waiting:
+            self.joint = None
+        return Rabinowitsch(ring, converted, joint)
 
 
 def radical_membership(f: Polynomial, generators: Sequence[Polynomial] | Rabinowitsch,

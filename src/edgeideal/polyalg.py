@@ -26,10 +26,10 @@ class FieldMismatchError(ValueError):
 
 # -- prime fields ------------------------------------------------------------
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# below this bound the witnesses 2, 3, 5, 7 alone are deterministic
+# Miller-Rabin with the witnesses of the first bound above n is exact
 # (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993)
-_MR_SMALL_BOUND = 3_215_031_751
+_MR_WITNESSES = ((1_373_653, (2, 3)), (3_215_031_751, (2, 3, 5, 7)),
+                 (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)))
 
 
 def is_prime(n: int) -> bool:
@@ -39,13 +39,14 @@ def is_prime(n: int) -> bool:
     for q in (2, 3, 5, 7, 11, 13):
         if n % q == 0:
             return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES[:4] if n < _MR_SMALL_BOUND else _MR_WITNESSES:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for bound, witnesses in _MR_WITNESSES:
+        if n < bound:
+            break
+    for a in witnesses:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
             x = x * x % n

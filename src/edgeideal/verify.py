@@ -4,19 +4,28 @@ ideal up to radical and that its length equals the projective dimension.
 The forward inclusion (every term of every generator lies in the edge ideal)
 is a termwise divisibility check.  The reverse inclusion is certified one
 edge monomial at a time via radical membership over each requested prime
-field, so a failure is isolated to a specific edge and field.
+field, so a failure is isolated to a specific edge and field.  `certify`
+hands its fields one `groebner.Lanes`: the first field's call of
+`verify_reverse` sets up the sequence once for all of them and runs each
+edge's test once, over Z/N with N the product of the primes, and every
+later field's call takes its own counts and answers from those runs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import ResourceLimitError, UsageError
 from .formulas import pd_for_spec
 from .graphs import FamilySpec, Graph, build, edge_ideal, parse_spec, ring_of
-from .groebner import GroebnerStats, Rabinowitsch, radical_membership, spair_budget_default
+from .groebner import (
+    GroebnerStats,
+    Lanes,
+    Rabinowitsch,
+    radical_membership,
+    spair_budget_default,
+)
 from .homcomplex import projective_dimension
 from .polyalg import mono_divides, prime_modulus
 from .sequences import GeneratorSequence, sequence_for
@@ -25,25 +34,21 @@ DEFAULT_FIELDS = (2, 32003)
 DEFAULT_HOMOLOGY_MAX_VERTICES = 16
 
 
-class ReverseCheck(NamedTuple):
-    edge: str
-    ok: bool
-
-
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     """Full certification record for one graph instance.
 
     verdict is "pass" exactly when every inclusion bit is true over every
     requested field and sequence length, closed-form value and (when
-    computed) homology value all agree.  A line carries no sequence, so its
-    `forward` and `reverse` are empty and `sequence_length` is None.
+    computed) homology value all agree.  `reverse` holds (edge, ok) per
+    edge monomial, the edge written "u*v".  A line carries no sequence, so
+    its `forward` and `reverse` are empty and `sequence_length` is None.
     """
 
     graph_spec: str
     fields: tuple[int, ...]
     forward: tuple[bool, ...]
-    reverse: tuple[ReverseCheck, ...]
+    reverse: tuple[tuple[str, bool], ...]
     sequence_length: int | None
     pd_formula: int
     pd_homology: int | None
@@ -59,7 +64,7 @@ class VerificationReport:
             "graph": self.graph_spec,
             "fields": list(self.fields),
             "forward": list(self.forward),
-            "reverse": [{"edge": rc.edge, "ok": rc.ok} for rc in self.reverse],
+            "reverse": [{"edge": edge, "ok": ok} for edge, ok in self.reverse],
             "length": self.sequence_length,
             "pd_formula": self.pd_formula,
             "pd_homology": self.pd_homology,
@@ -82,13 +87,19 @@ def verify_forward(seq: GeneratorSequence, g: Graph | None = None) -> list[bool]
 
 def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
                    modulus: int = 2, *, spair_budget: int | None = None,
-                   stats: GroebnerStats | None = None) -> list[bool]:
+                   stats: GroebnerStats | None = None,
+                   lanes: Lanes | None = None) -> list[bool]:
     """Per-edge radical membership of each edge monomial of g in the ideal
-    generated by the sequence, over GF(modulus)."""
+    generated by the sequence, over GF(modulus).
+
+    `lanes`, if given, is shared by the calls for the other fields of one
+    certification: the first call sets up one run per edge for all of them,
+    and each later call takes its results from it."""
     g = g or seq.graph
     ring = ring_of(g, modulus)
     # the extended ring, the lifted sequence and its run state, once per field
-    setup = Rabinowitsch(ring, [ring.convert(q) for q in seq.polys])
+    setup = (Rabinowitsch(ring, [ring.convert(q) for q in seq.polys]) if lanes is None
+             else lanes.setup(ring, seq.polys))
     out = []
     for u, v in g.edges:
         target = ring.term(1, ring.monomial(u, v))
@@ -105,8 +116,8 @@ def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
 
 def _verdict(forward, reverse_ok, length, pd_formula, pd_homology,
              homology_consistent) -> str:
-    measured = [v for v in (length, pd_homology) if v is not None]
-    ok = (measured and all(v == pd_formula for v in measured)
+    ok = ((length is not None or pd_homology is not None)
+          and length in (None, pd_formula) and pd_homology in (None, pd_formula)
           and all(forward) and all(reverse_ok) and homology_consistent)
     return "pass" if ok else "fail"
 
@@ -127,16 +138,17 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
+    name = str(spec)
     formula = pd_for_spec(spec)
     if formula is None:
-        raise UsageError(f"no closed-form projective dimension for {spec}")
+        raise UsageError(f"no closed-form projective dimension for {name}")
     if not fields:
         raise UsageError("certify needs at least one field")
     # a bad or repeated modulus, or a bad S-pair budget (the argument, else
     # $EDGEIDEAL_SPAIR_BUDGET), fails before any field's work; only the
     # validated ints are passed on and reported
     try:
-        moduli = tuple(prime_modulus(p) for p in fields)
+        moduli = tuple(map(prime_modulus, fields))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if len(set(moduli)) != len(moduli):
@@ -159,34 +171,27 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
         seq = sequence_for(spec)
         graph = seq.graph
         forward = tuple(verify_forward(seq, graph))
-        reverse_by_field = [
-            verify_reverse(seq, graph, p, spair_budget=spair_budget, stats=stats)
-            for p in moduli
-        ]
-        reverse_ok = [all(oks) for oks in zip(*reverse_by_field)]
-        reverse = tuple(ReverseCheck(f"{u}*{v}", ok)
-                        for (u, v), ok in zip(graph.edges, reverse_ok))
+        lanes = Lanes(moduli)
+        reverse_by_field = []
+        for p in moduli:
+            reverse_by_field.append(
+                verify_reverse(seq, graph, p, spair_budget=spair_budget, stats=stats, lanes=lanes))
+        reverse_ok = list(map(all, zip(*reverse_by_field)))
+        reverse = tuple(zip(map("*".join, graph.edges), reverse_ok))
         length, case = seq.claimed_length, seq.case_tag
 
-    pd_homology = None
-    homology_consistent = True
-    homology_stage = "formula-only"
+    # homology over every field, unless the instance is over the limit;
+    # its value counts only when every field gives the same one
     pd_by_field: dict[str, int] = {}
     if length is None or graph.nvertices <= homology_max_vertices:
-        homology_stage = "computed"
         for p in moduli:
             pd_by_field[str(p)] = projective_dimension(graph, p)
-        values = set(pd_by_field.values())
-        if len(values) == 1:
-            pd_homology = values.pop()
-        else:
-            homology_consistent = False
-
-    verdict = _verdict(forward, reverse_ok, length,
-                       formula.value, pd_homology, homology_consistent)
+    values = set(pd_by_field.values())
+    pd_homology = values.pop() if len(values) == 1 else None
+    verdict = _verdict(forward, reverse_ok, length, formula.value, pd_homology, len(values) < 2)
 
     return VerificationReport(
-        graph_spec=str(spec),
+        graph_spec=name,
         fields=moduli,
         forward=forward,
         reverse=reverse,
@@ -198,7 +203,7 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
             "case": case,
             "s_pairs": stats.spairs,
             "groebner_runs": stats.runs,
-            "homology": homology_stage,
+            "homology": "computed" if pd_by_field else "formula-only",
             "pd_homology_by_field": pd_by_field,
             # whole microseconds by integer arithmetic: the first
             # round(x, 6) of a process costs several times a later one

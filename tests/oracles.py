@@ -2,15 +2,18 @@
 
 Everything here recomputes results from definitions, bypassing the package's
 own code paths, so a test comparing the two sides is a genuine cross-check.
-The one shared piece is the boundary-rank reducer behind `hochster_betti`,
-which `test_independent_oracles.py` checks against a row reduction of its own.
+The shared pieces are the boundary-rank reducer behind `hochster_betti`,
+which `test_independent_oracles.py` checks against a row reduction of its own,
+and `ideal_contains_one`, which reads the package's `buchberger`.
 """
 
 import heapq
 from itertools import combinations
 from math import comb
 
+from edgeideal.groebner import DegenerateInputError, buchberger
 from edgeideal.homcomplex import _homology_from_faces
+from edgeideal.polyalg import mono_div, mono_lcm
 
 
 def convolve(f_terms: dict, g_terms: dict, p: int) -> dict:
@@ -33,6 +36,28 @@ def grevlex_greater(a: tuple, b: tuple) -> bool:
         if x != y:
             return x < y
     return False
+
+
+def s_polynomial(f, g):
+    """(lcm/lt(f))*f - (lcm/lt(g))*g for the lcm of the leading monomials."""
+    if f.is_zero or g.is_zero:
+        raise DegenerateInputError("s_polynomial of a zero polynomial")
+    f._check_ring(g)
+    lmf, lcf = f.leading_term()
+    lmg, lcg = g.leading_term()
+    lcm = mono_lcm(lmf, lmg)
+    fld = f.ring.field
+    left = f.mul_term(fld.inv(lcf), mono_div(lcm, lmf))
+    right = g.mul_term(fld.inv(lcg), mono_div(lcm, lmg))
+    return left - right
+
+
+def ideal_contains_one(generators, spair_budget=None, stats=None) -> bool:
+    """True iff the reduced Groebner basis of the ideal is {1}."""
+    gb = buchberger(generators, spair_budget)
+    if stats is not None:
+        stats.absorb(gb)
+    return gb.is_unit_ideal
 
 
 def monomial_ideal_contains(mono: tuple, generators: list) -> bool:

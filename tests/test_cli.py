@@ -8,6 +8,7 @@ from edgeideal.cli import main
 from edgeideal.groebner import DegenerateInputError
 from edgeideal.polyalg import DimensionError, FieldMismatchError
 from edgeideal.verify import VerificationReport
+from test_homcomplex import LARGE_PRIME
 
 
 def run(capsys, *argv):
@@ -87,6 +88,21 @@ def test_verify_pass_exit_zero(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "pass" and doc["length"] == 5
+
+
+def test_verify_with_a_40_bit_field(capsys):
+    # one run per edge over Z/(2*p), p about 2^40, serves both fields: the
+    # same edges as each field alone, and the S-pairs of both
+    large = str(LARGE_PRIME)
+    docs = {}
+    for fields in ("2", large, f"2,{large}"):
+        code, out, _ = run(capsys, "verify", "--graph", "bicyclic:3,4", "--fields", fields)
+        assert code == 0
+        docs[fields] = json.loads(out)
+    joint = docs[f"2,{large}"]
+    assert joint["verdict"] == "pass" and joint["fields"] == [2, LARGE_PRIME]
+    assert docs["2"]["reverse"] == docs[large]["reverse"] == joint["reverse"]
+    assert joint["stats"]["s_pairs"] == sum(docs[p]["stats"]["s_pairs"] for p in ("2", large))
 
 
 def test_verify_fail_exit_one(capsys, monkeypatch):

@@ -12,12 +12,11 @@ from edgeideal.groebner import (
     FIELD_BITS,
     DegenerateInputError,
     GroebnerStats,
+    Lanes,
     Rabinowitsch,
     buchberger,
-    ideal_contains_one,
     normal_form,
     radical_membership,
-    s_polynomial,
 )
 from edgeideal.polyalg import (
     DimensionError,
@@ -28,11 +27,14 @@ from edgeideal.polyalg import (
     mono_lcm,
 )
 from edgeideal.sequences import bicyclic_vertex_sequence, cycle_sequence, sequence_for
+from mutations import all_mutations
 from oracles import (
     ReferenceBudgetExceeded,
     _reference_normal_form,
+    ideal_contains_one,
     monomial_ideal_contains,
     reference_buchberger,
+    s_polynomial,
 )
 
 
@@ -429,10 +431,7 @@ def test_radical_membership_checks_with_a_set_up():
 
 def _saved(gens):
     """The run state after adding every generator but the last."""
-    start = groebner._Run(gens[0].ring, groebner._input_degree(gens[:-1]))
-    for g in gens[:-1]:
-        start.add(g)
-    return start
+    return groebner._Run.saved(gens[0].ring, [g.terms for g in gens[:-1]])
 
 
 def _resumes_like_a_fresh_run(gens, rng=None):
@@ -547,3 +546,194 @@ def test_spair_counts_match_the_golden():
            for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell"), 12)
            for p in (2, 32003)]
     assert got == GOLDEN_SPAIRS.read_text(encoding="utf-8").splitlines()
+
+
+# -- one run for several fields, over Z/N ------------------------------------------------
+
+def _lane_runs(polys, names, edges, moduli):
+    """The shared run state of one `Lanes` over `moduli`, and per field the
+    (basis, count) of each edge's run through its set-up and through the
+    field's own set-up."""
+    lanes = Lanes(moduli)
+    joint, out = None, {}
+    for p in moduli:
+        R = PolyRing(p, names)
+        setup = lanes.setup(R, polys)
+        joint = joint or lanes.joint  # let go once the last field has its set-up
+        own = Rabinowitsch(R, [R.convert(q) for q in polys])
+        for u, v in edges:
+            f = R.term(1, R.monomial(u, v))
+            shared = buchberger(setup.system(f), resume=setup.start)
+            alone = buchberger(own.system(f), resume=own.start)
+            out[p, u, v] = ((shared.generators, shared.spairs_processed),
+                            (alone.generators, alone.spairs_processed))
+    return joint, out
+
+
+@pytest.mark.parametrize("moduli", [(2, 32003), (2, 3, 32003)])
+def test_joint_runs_match_the_golden(moduli):
+    # every edge of the golden file through one set-up over Z/N: each
+    # field's count and answer are the golden line's (GF(3) has none: its
+    # runs are compared with the field's own), and no run splits
+    golden = {(spec, p): runs for spec, p, runs in map(
+        json.loads, GOLDEN_SPAIRS.read_text(encoding="utf-8").splitlines())}
+    for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell"), 12):
+        seq = sequence_for(spec)
+        joint, runs = _lane_runs(seq.polys, seq.graph.labels, seq.graph.edges, moduli)
+        # one shared run per edge, and none split
+        assert len(joint.outcomes) == len(seq.graph.edges)
+        assert None not in joint.outcomes.values()
+        for p in moduli:
+            got = [runs[p, u, v] for u, v in seq.graph.edges]
+            assert all(shared == alone for shared, alone in got)
+            if (str(spec), p) in golden:
+                assert [[n, len(basis)] for (basis, n), _ in got] == golden[str(spec), p]
+
+
+def _joint_cutoffs_match(seq, edge, moduli, rng):
+    """At every budget below the count (20 drawn from `rng` plus 0 and
+    count - 1 once it passes 100), the first field's joint run stops where
+    the field's own run does, with the same detail; from the count on it
+    gives the same basis, and a later field takes its stored result, or
+    runs alone under a smaller budget."""
+    first, later = moduli[0], moduli[-1]
+    lanes = Lanes(moduli)
+    joint = None
+    runs = {}
+    for p in (first, later):
+        R = ring_of(seq.graph, p)
+        setup = lanes.setup(R, seq.polys)
+        joint = joint or lanes.joint
+        own = Rabinowitsch(R, [R.convert(q) for q in seq.polys])
+        f = R.term(1, R.monomial(*edge))
+        runs[p] = (setup.system(f), setup.start, own.start)
+    system, start, own = runs[first]
+    fresh = buchberger(system, resume=own)
+    budgets = range(fresh.spairs_processed)
+    if fresh.spairs_processed > 100:
+        budgets = [0, *rng.sample(budgets, 20), fresh.spairs_processed - 1]
+    for budget in budgets:
+        with pytest.raises(ResourceLimitError) as want:
+            buchberger(system, spair_budget=budget, resume=own)
+        with pytest.raises(ResourceLimitError) as got:
+            buchberger(system, spair_budget=budget, resume=start)
+        assert got.value.detail == want.value.detail
+    assert not joint.outcomes  # a run cut short stores nothing
+    gb = buchberger(system, spair_budget=fresh.spairs_processed, resume=start)
+    assert (gb.generators, gb.spairs_processed) == (fresh.generators, fresh.spairs_processed)
+    system, start, own = runs[later]
+    alone = buchberger(system, resume=own)
+    assert buchberger(system, resume=start) == alone
+    if alone.spairs_processed:
+        budget = alone.spairs_processed - 1
+        with pytest.raises(ResourceLimitError) as want:
+            buchberger(system, spair_budget=budget, resume=own)
+        with pytest.raises(ResourceLimitError) as got:
+            buchberger(system, spair_budget=budget, resume=start)
+        assert got.value.detail == want.value.detail
+
+
+@pytest.mark.parametrize("moduli", [(2, 32003), (2, 3, 32003)])
+def test_joint_runs_stop_where_single_field_runs_do(moduli):
+    rng = random.Random(len(moduli))
+    specs = enumerate_specs(("cycle", "bicyclic", "dumbbell"), 12)
+    for spec in rng.sample(specs, 12):
+        seq = sequence_for(spec)
+        _joint_cutoffs_match(seq, rng.choice(seq.graph.edges), moduli, rng)
+
+
+def test_a_leading_coefficient_zero_in_one_lane_splits_the_set_up():
+    # 3x + y over Z/15: its leading coefficient is 0 mod 3, so every field
+    # runs on its own; GF(3) sees y and GF(5) sees 3x + y
+    src = PolyRing(32003, ["x", "y", "z"])
+    x, y, z = (src.variable(i) for i in range(3))
+    polys = [x.scale(3) + y, y * z + x * x]
+    joint, runs = _lane_runs(polys, src.names, [("x", "z"), ("y", "z"), ("x", "y")], (3, 5))
+    assert joint.start is None
+    assert all(shared == alone for shared, alone in runs.values())
+    assert runs[3, "y", "z"][0][0] != runs[5, "y", "z"][0][0]
+
+
+def test_a_run_that_splits_midway_falls_back_to_each_field():
+    # 2y^2 + 3yz and x^2y + 3xz add without a split over Z/15, but with
+    # 1 - t*xz a remainder's leading coefficient is 0 mod 3 while pairs
+    # are processed: each field then runs on its own
+    src = PolyRing(32003, ["x", "y", "z"])
+    x, y, z = (src.variable(i) for i in range(3))
+    polys = [(y * y).scale(2) + (y * z).scale(3), x * x * y + (x * z).scale(3)]
+    joint, runs = _lane_runs(polys, src.names, [("x", "z")], (3, 5))
+    assert joint.start is not None
+    assert list(joint.outcomes.values()) == [None]
+    assert all(shared == alone for shared, alone in runs.values())
+    assert runs[3, "x", "z"][0] != runs[5, "x", "z"][0]
+
+
+def test_mutants_run_jointly_like_each_field():
+    # damaged sequences have non-unit ideals: the bases projected from the
+    # run over Z/N are each field's reduced basis
+    nonunit = 0
+    for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell"), 8):
+        for _, mutated, _ in all_mutations(sequence_for(spec)):
+            _, runs = _lane_runs(mutated.polys, mutated.graph.labels, mutated.graph.edges,
+                                 (2, 32003))
+            assert all(shared == alone for shared, alone in runs.values())
+            nonunit += sum(basis != (basis[0].ring.one(),) for (basis, _), _ in runs.values())
+    assert nonunit > 100
+
+
+def test_lanes_serve_only_their_fields_and_generators():
+    seq = cycle_sequence(5)
+    lanes = Lanes((2, 32003))
+    R = ring_of(seq.graph, 2)
+    first = lanes.setup(R, seq.polys)
+    assert isinstance(first.start, groebner._Lane)
+    # a field outside the lanes, and other generators, get their own state
+    assert isinstance(lanes.setup(ring_of(seq.graph, 3), seq.polys).start, groebner._Run)
+    assert isinstance(lanes.setup(ring_of(seq.graph, 32003), seq.polys[1:]).start,
+                      groebner._Run)
+    # every field has asked: only the set-ups hold the shared state now
+    assert lanes.joint is None
+    # and a view checks its inputs like any saved state
+    f = R.term(1, R.monomial("x1", "x2"))
+    assert buchberger(first.system(f), resume=first.start).is_unit_ideal
+    with pytest.raises(ValueError, match="saved run state"):
+        buchberger(first.system(f)[1:], resume=first.start)
+
+
+def test_random_systems_run_jointly_like_each_field():
+    # small primes make splits common, at the set-up and mid-run; every
+    # field's basis, count and budget cut-off equal its own run's
+    rng = random.Random(7)
+    seen = {"set-up splits": 0, "run splits": 0, "cut-offs": 0}
+    for _ in range(120):
+        moduli = rng.choice([(2, 3), (3, 5), (2, 3, 5, 7), (5, 7), (2, 32003)])
+        names = [f"x{i}" for i in range(rng.randint(2, 4))]
+        src = PolyRing(32003, names)
+        monos = [tuple(rng.randint(0, 2) for _ in names) for _ in range(5)]
+        polys = [src.poly({m: rng.randrange(1, 30) for m in rng.sample(monos, rng.randint(1, 3))})
+                 for _ in range(rng.randint(1, 3))]
+        edges = [rng.sample(names, 2) for _ in range(2)]
+        budget = rng.choice([None, rng.randint(0, 30)])
+        lanes, joint = Lanes(moduli), None
+        for p in moduli:
+            R = PolyRing(p, names)
+            own = [R.convert(q) for q in polys]
+            if all(g.is_zero for g in own):
+                continue
+            setup, own = lanes.setup(R, polys), Rabinowitsch(R, own)
+            joint = joint or lanes.joint
+            for u, v in edges:
+                f = R.term(rng.randrange(1, p), R.monomial(u, v))
+                runs = []
+                for s in (setup, own):
+                    try:
+                        gb = buchberger(s.system(f), budget, resume=s.start)
+                        runs.append((gb.generators, gb.spairs_processed))
+                    except ResourceLimitError as exc:
+                        runs.append(exc.detail)
+                assert runs[0] == runs[1]
+                seen["cut-offs"] += isinstance(runs[0], dict)
+        if joint is not None:
+            seen["set-up splits"] += joint.start is None
+            seen["run splits"] += list(joint.outcomes.values()).count(None)
+    assert min(seen.values()) > 10, seen

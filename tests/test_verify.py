@@ -5,7 +5,7 @@ import pytest
 
 from edgeideal import groebner, verify
 from edgeideal.errors import ResourceLimitError, UsageError
-from edgeideal.graphs import build_from_string, parse_spec, ring_of
+from edgeideal.graphs import build_from_string, enumerate_specs, parse_spec, ring_of
 from edgeideal.sequences import GeneratorSequence, cycle_sequence
 from edgeideal.verify import (
     _verdict,
@@ -244,3 +244,14 @@ def test_dropping_a_term_breaks_the_certificate():
     seq = cycle_sequence(5, modulus=2)
     mutated = drop_term(seq, 2, 0)
     assert False in verify_reverse(mutated, modulus=2)
+
+
+def test_certify_over_three_fields_agrees_with_each_field():
+    # one run per edge over Z/(2*3*32003) against a certification per field:
+    # the same edges and verdict, and the S-pairs of all three
+    for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell", "line"), 10):
+        joint = certify(spec, (2, 3, 32003))
+        alone = [certify(spec, (p,)) for p in (2, 3, 32003)]
+        assert all(r.reverse == joint.reverse and r.verdict == joint.verdict for r in alone)
+        assert joint.stats["s_pairs"] == sum(r.stats["s_pairs"] for r in alone)
+        assert joint.stats["groebner_runs"] == sum(r.stats["groebner_runs"] for r in alone)
