@@ -19,7 +19,10 @@ W that leaves a vertex isolated (a cone) never arises, and a connected set
 whose Ind is contractible ends its branch.  Each connected set is first
 folded (Engstrom's lemma: a vertex whose neighbourhood contains another
 vertex's neighbourhood can be deleted without changing the homotopy type of
-Ind), and faces are built only for what cannot fold further.
+Ind), then every induced chain of three degree-2 vertices is contracted to
+one edge, which lowers the homology of Ind by one degree (Csorba, Subdivision
+yields Alexander duality on independence complexes, Electron. J. Combin.
+16(2) (2009)), and faces are built only for what neither step can shrink.
 
 Homology is computed from boundary-matrix ranks over the chosen prime field:
 one sparse exact reducer for every prime, reduced top-down with clearing.
@@ -303,9 +306,11 @@ def _independence_homology(mask: int, nbr: list[int], p: int,
                            known: dict[int, dict[int, int]] | None = None) -> dict[int, int]:
     """Reduced homology of Ind(G[mask]), the complex of independent sets.
 
-    G[mask] is folded first, which keeps the homotopy type and so the
-    homology over every field; faces are built only for the components of
-    what is left, and their homology is joined.  `known` maps connected
+    G[mask] is folded first, and each component of what is left has its
+    induced chains contracted (Csorba's subdivision lemma, see
+    `_contracted_homology`) before faces are built; both steps keep the
+    homotopy type up to suspension, so the homology is exact over every
+    field.  The components' homology is joined.  `known` maps connected
     vertex masks to their homology; it is read and filled.
     """
     if known is None:
@@ -317,9 +322,46 @@ def _independence_homology(mask: int, nbr: list[int], p: int,
     for comp in _components(core, nbr):
         part = known.get(comp)
         if part is None:
-            part = known[comp] = _independence_homology_unfolded(comp, nbr, p)
+            part = known[comp] = _contracted_homology(comp, nbr, p)
         profile = _join(profile, part)
     return profile
+
+
+def _contracted_homology(mask: int, nbr: list[int], p: int) -> dict[int, int]:
+    """Reduced homology of Ind(G[mask]) for a folded, connected G[mask].
+
+    If u-a-b-c-w is a path whose inner vertices a, b, c have degree 2, with
+    a and c not adjacent and u != w, then G is G' with its edge uw replaced
+    by that path, and Ind(G) is homotopy equivalent to the suspension of
+    Ind(G') (Csorba, Electron. J. Combin. 16(2) (2009)).  G' may have had
+    the edge uw already; Ind does not see a parallel edge.  One pass
+    contracts every such chain on a copy of the neighbour masks, and what
+    is left is folded and reduced again, its homology one degree higher per
+    contraction; with no chain left, faces are built.
+    """
+    nbr = list(nbr)
+    shift = 0
+    rest = mask
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        ends = nbr[b.bit_length() - 1] & mask
+        if not b & mask or ends.bit_count() != 2:
+            continue
+        a = ends & -ends
+        c = ends ^ a
+        ia, ic = a.bit_length() - 1, c.bit_length() - 1
+        u = nbr[ia] & mask ^ b
+        w = nbr[ic] & mask ^ b
+        if u.bit_count() != 1 or w.bit_count() != 1 or u == w or nbr[ia] & c:
+            continue
+        mask ^= a | b | c
+        nbr[u.bit_length() - 1] |= w
+        nbr[w.bit_length() - 1] |= u
+        shift += 1
+    if not shift:
+        return _independence_homology_unfolded(mask, nbr, p)
+    return {d + shift: x for d, x in _independence_homology(mask, nbr, p).items()}
 
 
 def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -126,6 +126,16 @@ def jacques_cycle_betti(n: int) -> dict:
     return table
 
 
+def kozlov_cycle_homology(n: int) -> dict:
+    """Reduced homology {degree: dim} of the independence complex of the
+    n-cycle, n >= 3, over any field.  Ind(C_n) is homotopy equivalent to a
+    wedge of two (k-1)-spheres for n = 3k, to one (k-1)-sphere for n = 3k+1
+    and to one k-sphere for n = 3k+2 (D. N. Kozlov, Complexes of directed
+    trees, J. Combin. Theory Ser. A 88 (1999))."""
+    k, r = divmod(n, 3)
+    return {0: {k - 1: 2}, 1: {k - 1: 1}, 2: {k: 1}}[r]
+
+
 def hochster_betti(nbr: list, p: int) -> dict:
     """Graded Betti numbers {(i, d): dim} over GF(p) of the edge ideal of the
     graph with neighbour masks `nbr`, by Hochster's formula taken literally:

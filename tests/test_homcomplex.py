@@ -21,6 +21,7 @@ from edgeideal.homcomplex import (
 )
 from oracles import (
     hochster_betti,
+    kozlov_cycle_homology,
     profile_euler_sum,
     reduced_euler_characteristic,
     shifted_profile,
@@ -197,6 +198,87 @@ def rp2_small_flag_neighbour_masks():
     drawn = {pair for t in RP2_FLAG_TRIANGLES for pair in itertools.combinations(t, 2)}
     return neighbour_masks(11, [pair for pair in itertools.combinations(range(11), 2)
                                 if pair not in drawn])
+
+
+# -- contracting induced chains ----------------------------------------------------
+
+@pytest.fixture
+def faces_built_for(monkeypatch):
+    """Vertex counts of the graphs whose faces are built, in call order."""
+    sizes = []
+    unfolded = homcomplex._independence_homology_unfolded
+
+    def spy(mask, nbr, p):
+        sizes.append(mask.bit_count())
+        return unfolded(mask, nbr, p)
+
+    monkeypatch.setattr(homcomplex, "_independence_homology_unfolded", spy)
+    return sizes
+
+
+def cycle_neighbour_masks(n):
+    return neighbour_masks(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def subdivided_neighbour_masks(rng, max_vertices):
+    """A random graph on 2..6 vertices whose edges are each subdivided by 0..6
+    new vertices, as many as fit within max_vertices."""
+    n = rng.randint(2, 6)
+    density = rng.choice((0.3, 0.5, 0.8))
+    edges = []
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            inner = range(n, n + min(rng.randint(0, 6), max_vertices - n))
+            n += len(inner)
+            path = [i, *inner, j]
+            edges += zip(path, path[1:])
+    return neighbour_masks(n, edges)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_contracting_chains_keeps_independence_homology(p, faces_built_for):
+    rng = random.Random(f"contract/{p}")
+    graphs = [subdivided_neighbour_masks(rng, 17) for _ in range(150)]
+    graphs += [cycle_neighbour_masks(n) for n in range(3, 19)]
+    contracted = 0
+    for nbr in graphs:
+        full = (1 << len(nbr)) - 1
+        faces_built_for.clear()
+        got = homcomplex._independence_homology(full, nbr, p)
+        # without a contraction, faces are built for every folded vertex
+        contracted += sum(faces_built_for) < homcomplex._fold(full, nbr).bit_count()
+        assert got == homcomplex._independence_homology_unfolded(full, nbr, p), nbr
+        mask = rng.randrange(1, full + 1)
+        assert homcomplex._independence_homology(mask, nbr, p) == \
+            homcomplex._independence_homology_unfolded(mask, nbr, p), (nbr, mask)
+    assert contracted > 40
+
+
+@pytest.mark.parametrize("p", (2, 32003))
+def test_cycles_match_kozlovs_homotopy_type(p, faces_built_for):
+    for n in range(3, 61):
+        assert homcomplex._independence_homology((1 << n) - 1, cycle_neighbour_masks(n), p) \
+            == kozlov_cycle_homology(n), n
+    # contraction leaves a triangle, a 4-cycle that folds to an edge, or an edge
+    assert max(faces_built_for) <= 3
+
+
+def test_contraction_keeps_the_rp2_torsion(faces_built_for):
+    # one edge uw of the 11-vertex graph becomes a path u-a-b-c-w, which
+    # suspends Ind once: H~_1 and H~_2 of RP^2 move to degrees 2 and 3
+    nbr = rp2_small_flag_neighbour_masks()
+    n = len(nbr)
+    u, w = 0, (nbr[0] & -nbr[0]).bit_length() - 1
+    edges = [(i, j) for i, j in itertools.combinations(range(n), 2)
+             if nbr[i] >> j & 1 and (i, j) != (u, w)]
+    nbr = neighbour_masks(n + 3, edges + [(u, n), (n, n + 1), (n + 1, n + 2), (n + 2, w)])
+    full = (1 << len(nbr)) - 1
+    assert homcomplex._fold(full, nbr) == full
+    for p, expected in ((2, {2: 1, 3: 1}), (3, {}), (32003, {})):
+        faces_built_for.clear()
+        assert homcomplex._independence_homology(full, nbr, p) == expected
+        assert faces_built_for == [n]
+        assert homcomplex._independence_homology_unfolded(full, nbr, p) == expected
 
 
 def test_betti_table_matches_the_hochster_sum_over_every_subset():
