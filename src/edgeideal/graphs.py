@@ -9,7 +9,6 @@ y-block, z-block) so downstream computations are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -242,20 +241,23 @@ def induced_subgraph(g: Graph, W: Iterable[str]) -> Graph:
 
 
 def min_vertex_cover_size(g: Graph) -> int:
-    """Exact minimum vertex cover size by exhaustive search, smallest size first."""
+    """Exact minimum vertex cover size by branching: the first edge a
+    partial cover misses needs one of its two ends, so both are tried, and
+    a branch that cannot beat the smallest cover found so far is cut."""
     n = g.nvertices
     if n > MAX_COVER_VERTICES:
         raise ResourceLimitError(
             f"vertex cover search limited to {MAX_COVER_VERTICES} vertices, got {n}",
             stage="min_vertex_cover")
-    if not g.edges:
-        return 0
     edge_masks = [(1 << g.index(u)) | (1 << g.index(v)) for u, v in g.edges]
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if all(mask & em for em in edge_masks):
-                return size
-    raise AssertionError("unreachable: full vertex set covers all edges")
+    best = n
+    stack = [(0, 0)]  # (partial cover, its size)
+    while stack:
+        cover, size = stack.pop()
+        missed = next((em for em in edge_masks if not cover & em), 0)
+        if not missed:
+            best = min(best, size)
+        elif size + 1 < best:
+            low = missed & -missed
+            stack += ((cover | low, size + 1), (cover | missed ^ low, size + 1))
+    return best

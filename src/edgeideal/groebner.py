@@ -67,15 +67,17 @@ is dropped, and each field runs on its own, over GF(p).  A basis is
 projected to GF(p) by reducing every coefficient mod p and dropping the
 terms that become 0.
 
-`Lanes` holds one such state per generator list, saved after the lifted
-generators are added, and each field's set-up is a view of it (`_Lane`).
-The first field's run for an f runs over Z/N and stores its count and
-basis; a later field reads its own projection of them.  A field runs on
-its own when the run split, when its generators are not the projection of
-the shared ones, or when its budget is below the stored count.  This is
-Traverso's trace idea (Groebner trace algorithms, ISSAC 1988) and Arnold's
-lucky primes (J. Symb. Comput. 35 (2003)) the other way round: every step
-is checked, so no prime has to be trusted to be lucky.
+`Shared` holds one such state per generator list, saved after the lifted
+generators are added, and built the first time a field's `Rabinowitsch`
+set-up asks for it.  The first field's run for an f runs over Z/N and is
+stored with its count and basis; a later field reads its own projection of
+them.  A field runs on its own, from its set-up's own state, when the run
+split, when its generators are not the projection of the shared ones, or
+when its budget is below the stored count.  The shared state and the
+stored runs go once the last field is done.  This is Traverso's trace
+idea (Groebner trace algorithms, ISSAC 1988) and Arnold's lucky primes
+(J. Symb. Comput. 35 (2003)) the other way round: every step is checked,
+so no prime has to be trusted to be lucky.
 """
 
 from __future__ import annotations
@@ -281,9 +283,10 @@ class _Run:
 
     Adding an input reduces it and queues its pairs but processes no S-pair,
     so a state saved after some inputs is the same for every run that starts
-    with them; `then` lets each such run resume from it.  `ring` gives the
-    variables; the coefficients are taken mod `modulus`, by default the
-    ring's prime, else a product of distinct primes, one lane each."""
+    with them; `then` and `resume` let each such run resume from it.  `ring`
+    gives the variables; the coefficients are taken mod `modulus`, by
+    default the ring's prime, else a product of distinct primes, one lane
+    each."""
 
     __slots__ = ("ring", "modulus", "pk", "divisors", "leads", "holders", "by_degree", "heap",
                  "unit", "inputs")
@@ -323,9 +326,11 @@ class _Run:
         new.add(terms)
         return new
 
-    def resume(self, terms: tuple, budget: int) -> GroebnerBasis:
-        """The reduced basis of the run from this state that adds `terms`."""
-        return _basis(self.ring, self.then(terms).finish(budget))
+    def resume(self, generators: Sequence[Polynomial], budget: int) -> GroebnerBasis:
+        """The reduced basis of the run from this state that adds the last of
+        `generators`, the others being this state's inputs."""
+        _check_saved(self.ring, self.inputs, generators)
+        return _basis(self.ring, self.then(generators[-1].terms).finish(budget))
 
     def add(self, terms: tuple):
         """Reduce an input, whose degree the packing takes, by the basis so
@@ -460,6 +465,12 @@ class _Run:
         return processed, pk, None if unit else _reduce_basis(divisors, guards, p)
 
 
+def _check_saved(ring: PolyRing, inputs: list[tuple], generators: Sequence[Polynomial]):
+    """Raise ValueError unless `ring` and `inputs` are those of `generators[:-1]`."""
+    if generators[0].ring != ring or inputs != [g.terms for g in generators[:-1]]:
+        raise ValueError("the saved run state was not built from generators[:-1]")
+
+
 def _basis(ring: PolyRing, outcome: tuple[int, _Packing, list | None]) -> GroebnerBasis:
     """The reduced basis over `ring` of a run's outcome, whose modulus the
     ring's prime divides: that lane's projection, as `Polynomial` reduces
@@ -471,7 +482,7 @@ def _basis(ring: PolyRing, outcome: tuple[int, _Packing, list | None]) -> Groebn
 
 
 def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None, *,
-               resume: _Run | _Lane | None = None) -> GroebnerBasis:
+               resume: _Run | Rabinowitsch | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `generators`.
 
     Each basis element is kept monic and packed, with its leading-monomial
@@ -481,11 +492,10 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
     once more than `spair_budget` S-pairs have been processed (default from
     spair_budget_default()).
 
-    `resume`, if given, is the `start` of a `Rabinowitsch` set-up, or any
-    run state saved after adding exactly `generators[:-1]` (checked, not
-    trusted); the run resumes from it and adds only the last generator.
-    Its pairs, basis, count and budget cut-off are those of a run from
-    scratch.
+    `resume`, if given, is a `Rabinowitsch` set-up, or any run state saved
+    after adding exactly `generators[:-1]` (checked, not trusted); the run
+    resumes from it and adds only the last generator.  Its pairs, basis,
+    count and budget cut-off are those of a run from scratch.
     """
     if not generators:
         raise DegenerateInputError("empty generator list")
@@ -495,9 +505,7 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
         generators[0]._check_ring(g)
     if resume is None:
         return _basis(ring, _Run.saved(ring, [g.terms for g in generators]).finish(budget))
-    if resume.ring != ring or resume.inputs != [g.terms for g in generators[:-1]]:
-        raise ValueError("the saved run state was not built from generators[:-1]")
-    return resume.resume(generators[-1].terms, budget)
+    return resume.resume(generators, budget)
 
 
 def _reduce_basis(divisors: list[tuple], guards: int, p: int) -> list[dict[int, int]]:
@@ -515,102 +523,99 @@ def _reduce_basis(divisors: list[tuple], guards: int, p: int) -> list[dict[int, 
     return reduced
 
 
-class _Joint:
-    """One Buchberger run for several fields GF(p) at once, over Z/N with N
-    the product of the primes (`moduli`, the lanes): the state after adding
-    the lifted generators, their coefficients read as integers mod N, and
-    the outcome of each last input run from it so far (None for a run that
-    split)."""
+class Shared:
+    """One Buchberger run per tested f for several fields GF(p) at once, over
+    Z/N with N the product of the primes (`moduli`, the lanes).  It holds
+    the state after adding `generators` lifted by one variable t, their
+    coefficients read as integers mod N, and the outcome of each last input
+    run from it so far (None for a run that split).  The state is built the
+    first time a field's set-up asks whether it is served, and let go once
+    the last lane is done."""
 
-    __slots__ = ("moduli", "modulus", "inputs", "start", "outcomes")
+    __slots__ = ("generators", "moduli", "start", "outcomes")
 
-    def __init__(self, ring: PolyRing, generators: Sequence[Polynomial],
-                 moduli: tuple[int, ...]):
-        n = math.prod(moduli)
-        ext = ring.extend()
-        pad = (0,) * (ext.nvars - ring.nvars)
-        lifted = (tuple((m + pad, c % n) for m, c in g.terms if c % n) for g in generators)
-        self.moduli, self.modulus = moduli, n
-        self.inputs = [terms for terms in lifted if terms]
-        try:
-            self.start: _Run | None = _Run.saved(ext, self.inputs, n)
-        except _Split:
-            self.start = None
-        self.outcomes: dict[tuple, tuple | None] = {}
+    def __init__(self, generators: Sequence[Polynomial], moduli: Sequence[int]):
+        self.generators, self.moduli = generators, moduli
+        self.outcomes: dict[tuple, tuple | None] | None = None  # None until built
+
+    def _build(self):
+        n = math.prod(self.moduli)
+        lifted = (tuple((m + (0,), c % n) for m, c in g.terms if c % n) for g in self.generators)
+        inputs = [terms for terms in lifted if terms]
+        self.start: _Run | None = None
+        self.outcomes = {}
+        if inputs:
+            try:
+                self.start = _Run.saved(self.generators[0].ring.extend(), inputs, n)
+            except _Split:
+                pass
 
     def serves(self, p: int, inputs: list[tuple]) -> bool:
-        """True when GF(p) is a lane, the inputs did not split, and `inputs`
-        are their projection: the same terms, less those that are 0 mod p."""
+        """True when GF(p) is a lane, the generators did not split, and
+        `inputs` are their projection: the same terms, less those that are
+        0 mod p."""
+        if self.outcomes is None:
+            self._build()
         return (self.start is not None and p in self.moduli
                 and inputs == [tuple((m, c % p) for m, c in terms if c % p)
-                               for terms in self.inputs])
+                               for terms in self.start.inputs])
+
+    def done(self, p: int):
+        """Lane p has read every run it needs.  No lane reads a stored run
+        after the last one in `moduli`, so then the state and the runs go,
+        inside that lane's work; a set-up asking later runs on its own."""
+        if p == self.moduli[-1]:
+            self.start, self.outcomes = None, {}
 
     def outcome(self, terms: tuple, p: int, budget: int) -> tuple | None:
         """The outcome of the run that adds a lift of lane p's last input
-        `terms`: stored, or run now under `budget`; None if it split.
+        `terms`: stored, or run now under `budget`; None if it split or the
+        state is gone.
 
         The lift reads each coefficient a but the last as a - p, and the last
         as a.  So the last input 1 - t*f of a Rabinowitsch system lifts to
         1 - t*F, F being f with its coefficients read as integers in [1, p),
         and every lane whose f is read from the same integers finds it."""
-        n = self.modulus
+        start = self.start
+        if start is None:  # let go by `done`
+            return None
+        n = start.modulus
         key = (*((m, (c - p) % n) for m, c in terms[:-1]), *terms[-1:])
         try:
             return self.outcomes[key]
         except KeyError:
             pass
         try:
-            outcome = self.start.then(key).finish(budget)
+            outcome = start.then(key).finish(budget)
         except _Split:
             outcome = None
         self.outcomes[key] = outcome
         return outcome
 
 
-class _Lane:
-    """One field's view of a `_Joint`, resumed by `buchberger` like a saved
-    run state, with that field's ring and inputs.  A run that split, or
-    whose stored count is over the budget of the call, runs on its own from
-    the field's own state, built the first time it is needed."""
-
-    __slots__ = ("ring", "inputs", "joint", "own")
-
-    def __init__(self, ring: PolyRing, inputs: list[tuple], joint: _Joint):
-        self.ring, self.inputs, self.joint = ring, inputs, joint
-        self.own: _Run | None = None
-
-    def resume(self, terms: tuple, budget: int) -> GroebnerBasis:
-        outcome = self.joint.outcome(terms, self.ring.modulus, budget)
-        if outcome is None or outcome[0] > budget:
-            if self.own is None:
-                self.own = _Run.saved(self.ring, self.inputs)
-            return self.own.resume(terms, budget)
-        return _basis(self.ring, outcome)
-
-
 class Rabinowitsch:
     """The part of the Rabinowitsch test that depends only on the generators:
     the ring extended by one auxiliary variable t (appended last, hence
-    lowest priority), the nonzero generators lifted into it, and the
-    Buchberger run state after adding them.  Adding inputs processes no
-    S-pair, so every f tested against the same generators resumes from
-    that state.  Given a `_Joint` that serves this field (see `Lanes`), the
-    state is this field's view of it."""
+    lowest priority) and the nonzero generators lifted into it, resumed by
+    `buchberger` like a saved run state.  The run for each f is read from a
+    `Shared` run that serves this field; otherwise, after a split, or under
+    a budget below the stored count, it resumes the field's own state after
+    the lifted generators, built the first time it is needed."""
 
-    __slots__ = ("ring", "ext", "lifted", "start")
+    __slots__ = ("ring", "ext", "lifted", "inputs", "shared", "own")
 
     def __init__(self, ring: PolyRing, generators: Sequence[Polynomial],
-                 joint: _Joint | None = None):
+                 shared: Shared | None = None):
         ext = ring.extend()
         lifted = [ext.lift(g) for g in generators if not g.is_zero]
         if not lifted:
             raise DegenerateInputError("empty generator list")
-        inputs = [g.terms for g in lifted]
-        if joint is not None and joint.serves(ring.modulus, inputs):
-            self.start: _Run | _Lane = _Lane(ext, inputs, joint)
-        else:
-            self.start = _Run.saved(ext, inputs)
         self.ring, self.ext, self.lifted = ring, ext, lifted
+        self.inputs = [g.terms for g in lifted]
+        if shared is not None and not shared.serves(ring.modulus, self.inputs):
+            shared = None
+        self.shared = shared
+        self.own: _Run | None = None
 
     def system(self, f: Polynomial) -> list[Polynomial]:
         """The lifted generators, then 1 - t*f.  That is built from the
@@ -623,34 +628,18 @@ class Rabinowitsch:
         return [*self.lifted,
                 Polynomial.from_sorted(self.ext, terms + ((mono_one(self.ext.nvars), 1),))]
 
-
-class Lanes:
-    """Rabinowitsch set-ups of one generator list over the fields GF(p) of
-    `moduli` that share one Buchberger run per tested f, over Z/N with N
-    the product of the moduli.  The shared state is built when the first
-    field asks for its set-up, and let go once every field has: from then
-    on only the set-ups hold it."""
-
-    __slots__ = ("moduli", "joint", "waiting")
-
-    def __init__(self, moduli: Sequence[int]):
-        self.moduli = tuple(moduli)
-        self.joint: _Joint | None = None  # while held, `waiting` has the fields yet to ask
-
-    def setup(self, ring: PolyRing, generators: Sequence[Polynomial]) -> Rabinowitsch:
-        """The set-up of `generators` over `ring`'s field, read as
-        `ring.convert` reads them: each coefficient c, an integer, as c mod p.
-        The shared run reads c as c mod N.  A field outside `moduli`, or
-        generators other than the first set-up's, get a state of their own."""
-        converted = [ring.convert(q) for q in generators]
-        joint = self.joint
-        if joint is None:
-            joint = self.joint = _Joint(ring, generators, self.moduli)
-            self.waiting = set(self.moduli)
-        self.waiting.discard(ring.modulus)
-        if not self.waiting:
-            self.joint = None
-        return Rabinowitsch(ring, converted, joint)
+    def resume(self, generators: Sequence[Polynomial], budget: int) -> GroebnerBasis:
+        """The reduced basis of the run that adds the last of `generators`,
+        the others being the lifted generators."""
+        _check_saved(self.ext, self.inputs, generators)
+        terms = generators[-1].terms
+        if self.shared is not None:
+            outcome = self.shared.outcome(terms, self.ring.modulus, budget)
+            if outcome is not None and outcome[0] <= budget:
+                return _basis(self.ext, outcome)
+        if self.own is None:
+            self.own = _Run.saved(self.ext, self.inputs)
+        return _basis(self.ext, self.own.then(terms).finish(budget))
 
 
 def radical_membership(f: Polynomial, generators: Sequence[Polynomial] | Rabinowitsch,
@@ -670,7 +659,7 @@ def radical_membership(f: Polynomial, generators: Sequence[Polynomial] | Rabinow
         raise DegenerateInputError("radical membership of the zero polynomial")
     setup = (generators if isinstance(generators, Rabinowitsch)
              else Rabinowitsch(f.ring, generators))
-    gb = buchberger(setup.system(f), spair_budget, resume=setup.start)
+    gb = buchberger(setup.system(f), spair_budget, resume=setup)
     if stats is not None:
         stats.absorb(gb)
     return gb.is_unit_ideal

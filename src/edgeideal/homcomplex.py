@@ -471,8 +471,10 @@ def betti_table(g: Graph, fld) -> BettiTable:
         series[mask] = out
         return out
 
+    root = sums((1 << n) - 1)
+    del sums  # the closure refers to itself: let the memos go with the call
     entries: dict[tuple[int, int], int] = {}
-    for (d, k), dim in sums((1 << n) - 1).items():
+    for (d, k), dim in root.items():
         if d:
             entries[(d - k - 1, d)] = dim
 

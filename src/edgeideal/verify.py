@@ -5,10 +5,11 @@ The forward inclusion (every term of every generator lies in the edge ideal)
 is a termwise divisibility check.  The reverse inclusion is certified one
 edge monomial at a time via radical membership over each requested prime
 field, so a failure is isolated to a specific edge and field.  `certify`
-hands its fields one `groebner.Lanes`: the first field's call of
-`verify_reverse` sets up the sequence once for all of them and runs each
-edge's test once, over Z/N with N the product of the primes, and every
-later field's call takes its own counts and answers from those runs.
+hands its fields one `groebner.Shared` run: the first field's call of
+`verify_reverse` adds the sequence to it once for all of them and runs
+each edge's test once, over Z/N with N the product of the primes, every
+later field's call takes its own counts and answers from those runs, and
+the last field's call lets them go.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .formulas import pd_for_spec
 from .graphs import FamilySpec, Graph, build, edge_ideal, parse_spec, ring_of
 from .groebner import (
     GroebnerStats,
-    Lanes,
     Rabinowitsch,
+    Shared,
     radical_membership,
     spair_budget_default,
 )
@@ -88,18 +89,18 @@ def verify_forward(seq: GeneratorSequence, g: Graph | None = None) -> list[bool]
 def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
                    modulus: int = 2, *, spair_budget: int | None = None,
                    stats: GroebnerStats | None = None,
-                   lanes: Lanes | None = None) -> list[bool]:
+                   shared: Shared | None = None) -> list[bool]:
     """Per-edge radical membership of each edge monomial of g in the ideal
     generated by the sequence, over GF(modulus).
 
-    `lanes`, if given, is shared by the calls for the other fields of one
-    certification: the first call sets up one run per edge for all of them,
-    and each later call takes its results from it."""
+    `shared`, if given, is the `Shared` run of the sequence over the fields
+    of one certification, called in the order of its moduli: the first call
+    builds it and runs each edge once for all the fields, each later call
+    takes its results from it, and the last one lets it go."""
     g = g or seq.graph
     ring = ring_of(g, modulus)
-    # the extended ring, the lifted sequence and its run state, once per field
-    setup = (Rabinowitsch(ring, [ring.convert(q) for q in seq.polys]) if lanes is None
-             else lanes.setup(ring, seq.polys))
+    # the extended ring and the lifted sequence, once per field
+    setup = Rabinowitsch(ring, [ring.convert(q) for q in seq.polys], shared)
     out = []
     for u, v in g.edges:
         target = ring.term(1, ring.monomial(u, v))
@@ -111,6 +112,8 @@ def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
                 f"radical membership of edge {u}*{v} over GF({modulus}): {exc}",
                 stage="verify_reverse",
                 detail={**(exc.detail or {}), "edge": (u, v), "modulus": modulus}) from exc
+    if shared is not None:
+        shared.done(modulus)
     return out
 
 
@@ -171,11 +174,12 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
         seq = sequence_for(spec)
         graph = seq.graph
         forward = tuple(verify_forward(seq, graph))
-        lanes = Lanes(moduli)
+        shared = Shared(seq.polys, moduli)
         reverse_by_field = []
         for p in moduli:
             reverse_by_field.append(
-                verify_reverse(seq, graph, p, spair_budget=spair_budget, stats=stats, lanes=lanes))
+                verify_reverse(seq, graph, p, spair_budget=spair_budget, stats=stats,
+                               shared=shared))
         reverse_ok = list(map(all, zip(*reverse_by_field)))
         reverse = tuple(zip(map("*".join, graph.edges), reverse_ok))
         length, case = seq.claimed_length, seq.case_tag

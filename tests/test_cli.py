@@ -42,6 +42,12 @@ def test_stci_cycle6_false(capsys):
     assert json.loads(out) == {"stci": False, "height": 3, "ara": 4}
 
 
+def test_stci_cycle25_at_the_cover_limit(capsys):
+    code, out, _ = run(capsys, "stci", "--graph", "cycle:25")
+    assert code == 0
+    assert json.loads(out) == {"stci": False, "height": 13, "ara": 17}
+
+
 def test_stci_rejects_non_cycles(capsys):
     code, _, err = run(capsys, "stci", "--graph", "line:4")
     assert code == 2 and "cycle" in err

@@ -203,6 +203,30 @@ def test_cover_matches_bruteforce(spec):
     assert min_vertex_cover_size(g) == vertex_cover_bruteforce(g.labels, g.edges)
 
 
+def test_cover_matches_bruteforce_on_every_family_instance():
+    specs = enumerate_specs(("cycle", "line", "bicyclic", "dumbbell"), 13)
+    assert len(specs) > 100
+    for spec in specs:
+        g = build(spec)
+        assert min_vertex_cover_size(g) == vertex_cover_bruteforce(g.labels, g.edges), spec
+
+
+def test_cover_matches_bruteforce_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(300):
+        labels = tuple(f"v{i}" for i in range(rng.randint(1, 11)))
+        pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+        edges = tuple(rng.sample(pairs, rng.randint(0, len(pairs))))
+        g = Graph(labels, edges)
+        assert min_vertex_cover_size(g) == vertex_cover_bruteforce(labels, edges), edges
+
+
+def test_cover_at_the_size_limit():
+    # 25 vertices, the largest graphs the search takes
+    assert min_vertex_cover_size(build_from_string("cycle:25")) == 13
+    assert min_vertex_cover_size(build_from_string("bicyclic:12,13")) == 12
+
+
 def test_cover_size_limit():
     g = build(FamilySpec("line", (26,)))
     with pytest.raises(ResourceLimitError):

@@ -12,8 +12,8 @@ from edgeideal.groebner import (
     FIELD_BITS,
     DegenerateInputError,
     GroebnerStats,
-    Lanes,
     Rabinowitsch,
+    Shared,
     buchberger,
     normal_form,
     radical_membership,
@@ -530,7 +530,7 @@ def _edge_runs(spec, p):
         system = lifted + [ext.one() - t * ext.lift(f)]
         gb = buchberger(system)
         assert setup.system(f) == system
-        resumed = buchberger(setup.system(f), resume=setup.start)
+        resumed = buchberger(setup.system(f), resume=setup)
         assert (resumed.generators, resumed.spairs_processed) == (gb.generators,
                                                                   gb.spairs_processed)
         runs.append([gb.spairs_processed, len(gb)])
@@ -550,64 +550,60 @@ def test_spair_counts_match_the_golden():
 
 # -- one run for several fields, over Z/N ------------------------------------------------
 
-def _lane_runs(polys, names, edges, moduli):
-    """The shared run state of one `Lanes` over `moduli`, and per field the
-    (basis, count) of each edge's run through its set-up and through the
-    field's own set-up."""
-    lanes = Lanes(moduli)
-    joint, out = None, {}
+def _shared_runs(polys, names, edges, moduli):
+    """The `Shared` run of `polys` over `moduli`, and per field the
+    (basis, count) of each edge's run through the field's set-up on it and
+    through the field's own set-up."""
+    shared, out = Shared(polys, moduli), {}
     for p in moduli:
         R = PolyRing(p, names)
-        setup = lanes.setup(R, polys)
-        joint = joint or lanes.joint  # let go once the last field has its set-up
-        own = Rabinowitsch(R, [R.convert(q) for q in polys])
+        gens = [R.convert(q) for q in polys]
+        setup, own = Rabinowitsch(R, gens, shared), Rabinowitsch(R, gens)
         for u, v in edges:
             f = R.term(1, R.monomial(u, v))
-            shared = buchberger(setup.system(f), resume=setup.start)
-            alone = buchberger(own.system(f), resume=own.start)
-            out[p, u, v] = ((shared.generators, shared.spairs_processed),
+            via = buchberger(setup.system(f), resume=setup)
+            alone = buchberger(own.system(f), resume=own)
+            out[p, u, v] = ((via.generators, via.spairs_processed),
                             (alone.generators, alone.spairs_processed))
-    return joint, out
+    return shared, out
 
 
 @pytest.mark.parametrize("moduli", [(2, 32003), (2, 3, 32003)])
 def test_joint_runs_match_the_golden(moduli):
-    # every edge of the golden file through one set-up over Z/N: each
+    # every edge of the golden file through one shared run over Z/N: each
     # field's count and answer are the golden line's (GF(3) has none: its
     # runs are compared with the field's own), and no run splits
     golden = {(spec, p): runs for spec, p, runs in map(
         json.loads, GOLDEN_SPAIRS.read_text(encoding="utf-8").splitlines())}
     for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell"), 12):
         seq = sequence_for(spec)
-        joint, runs = _lane_runs(seq.polys, seq.graph.labels, seq.graph.edges, moduli)
+        shared, runs = _shared_runs(seq.polys, seq.graph.labels, seq.graph.edges, moduli)
         # one shared run per edge, and none split
-        assert len(joint.outcomes) == len(seq.graph.edges)
-        assert None not in joint.outcomes.values()
+        assert len(shared.outcomes) == len(seq.graph.edges)
+        assert None not in shared.outcomes.values()
         for p in moduli:
             got = [runs[p, u, v] for u, v in seq.graph.edges]
-            assert all(shared == alone for shared, alone in got)
+            assert all(via == alone for via, alone in got)
             if (str(spec), p) in golden:
                 assert [[n, len(basis)] for (basis, n), _ in got] == golden[str(spec), p]
 
 
-def _joint_cutoffs_match(seq, edge, moduli, rng):
+def _shared_cutoffs_match(seq, edge, moduli, rng):
     """At every budget below the count (20 drawn from `rng` plus 0 and
-    count - 1 once it passes 100), the first field's joint run stops where
+    count - 1 once it passes 100), the first field's shared run stops where
     the field's own run does, with the same detail; from the count on it
     gives the same basis, and a later field takes its stored result, or
     runs alone under a smaller budget."""
     first, later = moduli[0], moduli[-1]
-    lanes = Lanes(moduli)
-    joint = None
+    shared = Shared(seq.polys, moduli)
     runs = {}
     for p in (first, later):
         R = ring_of(seq.graph, p)
-        setup = lanes.setup(R, seq.polys)
-        joint = joint or lanes.joint
-        own = Rabinowitsch(R, [R.convert(q) for q in seq.polys])
-        f = R.term(1, R.monomial(*edge))
-        runs[p] = (setup.system(f), setup.start, own.start)
-    system, start, own = runs[first]
+        gens = [R.convert(q) for q in seq.polys]
+        setup, own = Rabinowitsch(R, gens, shared), Rabinowitsch(R, gens)
+        assert setup.shared is shared
+        runs[p] = (setup.system(R.term(1, R.monomial(*edge))), setup, own)
+    system, setup, own = runs[first]
     fresh = buchberger(system, resume=own)
     budgets = range(fresh.spairs_processed)
     if fresh.spairs_processed > 100:
@@ -616,20 +612,21 @@ def _joint_cutoffs_match(seq, edge, moduli, rng):
         with pytest.raises(ResourceLimitError) as want:
             buchberger(system, spair_budget=budget, resume=own)
         with pytest.raises(ResourceLimitError) as got:
-            buchberger(system, spair_budget=budget, resume=start)
+            buchberger(system, spair_budget=budget, resume=setup)
         assert got.value.detail == want.value.detail
-    assert not joint.outcomes  # a run cut short stores nothing
-    gb = buchberger(system, spair_budget=fresh.spairs_processed, resume=start)
+    assert not shared.outcomes  # a run cut short stores nothing
+    gb = buchberger(system, spair_budget=fresh.spairs_processed, resume=setup)
     assert (gb.generators, gb.spairs_processed) == (fresh.generators, fresh.spairs_processed)
-    system, start, own = runs[later]
+    assert setup.own is None  # no run of its own was needed
+    system, setup, own = runs[later]
     alone = buchberger(system, resume=own)
-    assert buchberger(system, resume=start) == alone
+    assert buchberger(system, resume=setup) == alone
     if alone.spairs_processed:
         budget = alone.spairs_processed - 1
         with pytest.raises(ResourceLimitError) as want:
             buchberger(system, spair_budget=budget, resume=own)
         with pytest.raises(ResourceLimitError) as got:
-            buchberger(system, spair_budget=budget, resume=start)
+            buchberger(system, spair_budget=budget, resume=setup)
         assert got.value.detail == want.value.detail
 
 
@@ -639,7 +636,7 @@ def test_joint_runs_stop_where_single_field_runs_do(moduli):
     specs = enumerate_specs(("cycle", "bicyclic", "dumbbell"), 12)
     for spec in rng.sample(specs, 12):
         seq = sequence_for(spec)
-        _joint_cutoffs_match(seq, rng.choice(seq.graph.edges), moduli, rng)
+        _shared_cutoffs_match(seq, rng.choice(seq.graph.edges), moduli, rng)
 
 
 def test_a_leading_coefficient_zero_in_one_lane_splits_the_set_up():
@@ -648,9 +645,9 @@ def test_a_leading_coefficient_zero_in_one_lane_splits_the_set_up():
     src = PolyRing(32003, ["x", "y", "z"])
     x, y, z = (src.variable(i) for i in range(3))
     polys = [x.scale(3) + y, y * z + x * x]
-    joint, runs = _lane_runs(polys, src.names, [("x", "z"), ("y", "z"), ("x", "y")], (3, 5))
-    assert joint.start is None
-    assert all(shared == alone for shared, alone in runs.values())
+    shared, runs = _shared_runs(polys, src.names, [("x", "z"), ("y", "z"), ("x", "y")], (3, 5))
+    assert shared.start is None
+    assert all(via == alone for via, alone in runs.values())
     assert runs[3, "y", "z"][0][0] != runs[5, "y", "z"][0][0]
 
 
@@ -661,10 +658,10 @@ def test_a_run_that_splits_midway_falls_back_to_each_field():
     src = PolyRing(32003, ["x", "y", "z"])
     x, y, z = (src.variable(i) for i in range(3))
     polys = [(y * y).scale(2) + (y * z).scale(3), x * x * y + (x * z).scale(3)]
-    joint, runs = _lane_runs(polys, src.names, [("x", "z")], (3, 5))
-    assert joint.start is not None
-    assert list(joint.outcomes.values()) == [None]
-    assert all(shared == alone for shared, alone in runs.values())
+    shared, runs = _shared_runs(polys, src.names, [("x", "z")], (3, 5))
+    assert shared.start is not None
+    assert list(shared.outcomes.values()) == [None]
+    assert all(via == alone for via, alone in runs.values())
     assert runs[3, "x", "z"][0] != runs[5, "x", "z"][0]
 
 
@@ -674,30 +671,37 @@ def test_mutants_run_jointly_like_each_field():
     nonunit = 0
     for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell"), 8):
         for _, mutated, _ in all_mutations(sequence_for(spec)):
-            _, runs = _lane_runs(mutated.polys, mutated.graph.labels, mutated.graph.edges,
-                                 (2, 32003))
-            assert all(shared == alone for shared, alone in runs.values())
+            _, runs = _shared_runs(mutated.polys, mutated.graph.labels, mutated.graph.edges,
+                                   (2, 32003))
+            assert all(via == alone for via, alone in runs.values())
             nonunit += sum(basis != (basis[0].ring.one(),) for (basis, _), _ in runs.values())
     assert nonunit > 100
 
 
-def test_lanes_serve_only_their_fields_and_generators():
+def test_shared_serves_only_its_fields_and_generators():
     seq = cycle_sequence(5)
-    lanes = Lanes((2, 32003))
-    R = ring_of(seq.graph, 2)
-    first = lanes.setup(R, seq.polys)
-    assert isinstance(first.start, groebner._Lane)
-    # a field outside the lanes, and other generators, get their own state
-    assert isinstance(lanes.setup(ring_of(seq.graph, 3), seq.polys).start, groebner._Run)
-    assert isinstance(lanes.setup(ring_of(seq.graph, 32003), seq.polys[1:]).start,
-                      groebner._Run)
-    # every field has asked: only the set-ups hold the shared state now
-    assert lanes.joint is None
-    # and a view checks its inputs like any saved state
-    f = R.term(1, R.monomial("x1", "x2"))
-    assert buchberger(first.system(f), resume=first.start).is_unit_ideal
+    shared = Shared(seq.polys, (2, 32003))
+    assert shared.outcomes is None  # built when the first set-up asks
+
+    def setup(p, polys):
+        R = ring_of(seq.graph, p)
+        return Rabinowitsch(R, [R.convert(q) for q in polys], shared)
+
+    first = setup(2, seq.polys)
+    assert first.shared is shared
+    f = first.ring.term(1, first.ring.monomial("x1", "x2"))
+    # a field outside the moduli, and other generators, get their own state
+    for other in (setup(3, seq.polys), setup(32003, seq.polys[1:])):
+        assert other.shared is None
+        g = other.ring.term(1, other.ring.monomial("x1", "x2"))
+        assert buchberger(other.system(g), resume=other) == buchberger(other.system(g))
+        assert isinstance(other.own, groebner._Run)
+    assert not shared.outcomes
+    assert buchberger(first.system(f), resume=first).is_unit_ideal
+    assert first.own is None and len(shared.outcomes) == 1
+    # and a set-up checks its inputs like any saved state
     with pytest.raises(ValueError, match="saved run state"):
-        buchberger(first.system(f)[1:], resume=first.start)
+        buchberger(first.system(f)[1:], resume=first)
 
 
 def test_random_systems_run_jointly_like_each_field():
@@ -714,26 +718,25 @@ def test_random_systems_run_jointly_like_each_field():
                  for _ in range(rng.randint(1, 3))]
         edges = [rng.sample(names, 2) for _ in range(2)]
         budget = rng.choice([None, rng.randint(0, 30)])
-        lanes, joint = Lanes(moduli), None
+        shared = Shared(polys, moduli)
         for p in moduli:
             R = PolyRing(p, names)
-            own = [R.convert(q) for q in polys]
-            if all(g.is_zero for g in own):
+            gens = [R.convert(q) for q in polys]
+            if all(g.is_zero for g in gens):
                 continue
-            setup, own = lanes.setup(R, polys), Rabinowitsch(R, own)
-            joint = joint or lanes.joint
+            setups = (Rabinowitsch(R, gens, shared), Rabinowitsch(R, gens))
             for u, v in edges:
                 f = R.term(rng.randrange(1, p), R.monomial(u, v))
                 runs = []
-                for s in (setup, own):
+                for s in setups:
                     try:
-                        gb = buchberger(s.system(f), budget, resume=s.start)
+                        gb = buchberger(s.system(f), budget, resume=s)
                         runs.append((gb.generators, gb.spairs_processed))
                     except ResourceLimitError as exc:
                         runs.append(exc.detail)
                 assert runs[0] == runs[1]
                 seen["cut-offs"] += isinstance(runs[0], dict)
-        if joint is not None:
-            seen["set-up splits"] += joint.start is None
-            seen["run splits"] += list(joint.outcomes.values()).count(None)
+        if shared.outcomes is not None:
+            seen["set-up splits"] += shared.start is None
+            seen["run splits"] += list(shared.outcomes.values()).count(None)
     assert min(seen.values()) > 10, seen

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from edgeideal import groebner, verify
 from edgeideal.errors import ResourceLimitError, UsageError
 from edgeideal.graphs import build_from_string, enumerate_specs, parse_spec, ring_of
+from edgeideal.groebner import Rabinowitsch, Shared, buchberger
 from edgeideal.sequences import GeneratorSequence, cycle_sequence
 from edgeideal.verify import (
     _verdict,
@@ -255,3 +257,42 @@ def test_certify_over_three_fields_agrees_with_each_field():
         assert all(r.reverse == joint.reverse and r.verdict == joint.verdict for r in alone)
         assert joint.stats["s_pairs"] == sum(r.stats["s_pairs"] for r in alone)
         assert joint.stats["groebner_runs"] == sum(r.stats["groebner_runs"] for r in alone)
+
+
+def test_the_last_lane_lets_the_shared_state_go():
+    # each field's verify_reverse in the order of the moduli: the state and
+    # the runs live until the last lane is done, and a set-up asking after
+    # that runs on its own with the same answers
+    seq = cycle_sequence(5)
+    shared = Shared(seq.polys, (2, 3, 32003))
+    for p in (2, 3):
+        assert verify_reverse(seq, modulus=p, shared=shared) == [True] * 5
+        assert shared.start is not None and len(shared.outcomes) == 5
+    shared.done(2)  # only the last lane lets go
+    assert shared.start is not None
+    R = ring_of(seq.graph, 3)
+    early = Rabinowitsch(R, [R.convert(q) for q in seq.polys], shared)
+    assert early.shared is shared
+    assert verify_reverse(seq, modulus=32003, shared=shared) == [True] * 5
+    assert shared.start is None and not shared.outcomes
+    late = Rabinowitsch(R, [R.convert(q) for q in seq.polys], shared)
+    assert late.shared is None
+    f = R.term(1, R.monomial("x1", "x2"))
+    for setup in (early, late):
+        assert buchberger(setup.system(f), resume=setup).is_unit_ideal
+        assert isinstance(setup.own, groebner._Run)
+    assert not shared.outcomes
+
+
+@pytest.mark.parametrize("spec", ["cycle:6", "bicyclic:4,5", "dumbbell:3,1,4", "line:6"])
+def test_certify_leaves_no_reference_cycles(spec):
+    # everything a certification builds (set-ups, shared runs, homology
+    # memos) is freed by reference counting when it returns, not left for
+    # the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert certify(spec).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
