@@ -51,33 +51,24 @@ by t, lifts J and saves the state after J's inputs once, and the run for
 each f copies that state, adds 1 - t*f and processes the pairs.  It
 processes the same pairs, in the same order, as a run from scratch.
 
-The coefficients of a run are taken mod any squarefree N, not only a
-prime, and one run serves every field GF(p) with p dividing N (its lanes).
-By the Chinese remainder theorem, Z/N is the product of the fields, and
-reducing mod p is a ring map to lane p.  The control flow of a run reads
-only monomials, zero tests and inverses.  A coefficient that is 0 mod p
-but not mod N is a term lane p does not have: reducing it adds 0 to that
-lane, and keeping it keeps a zero term, so lane p's projection of every
-step is that step of the run over GF(p).  Lanes can part only where a
+One set-up serves several fields GF(p) at once, its lanes: its runs take
+coefficients mod N, the product of the primes, and each f's run is stored
+with its count and basis for every field to read.  By the Chinese remainder
+theorem, Z/N is the product of the fields, and reducing mod p is a ring map
+to lane p.  The control flow of a run reads only monomials, zero tests and
+inverses.  A coefficient that is 0 mod p but not mod N is a term lane p
+does not have: reducing it adds 0 to that lane, and keeping it keeps a zero
+term, so lane p's projection of every step, and so its count and budget
+cut-off, are those of the run over GF(p).  Lanes can part only where a
 remainder's leading coefficient is 0 in some lane, and that is exactly
 where its inverse mod N does not exist.  (A product of two nonzero
 coefficients can be 0 mod N: it is a term no lane has.)  So `_monic`
-inverts with pow(lc, -1, N) and raises `_Split` when it cannot; such a run
-is dropped, and each field runs on its own, over GF(p).  A basis is
-projected to GF(p) by reducing every coefficient mod p and dropping the
-terms that become 0.
-
-`Shared` holds one such state per generator list, saved after the lifted
-generators are added, and built the first time a field's `Rabinowitsch`
-set-up asks for it.  The first field's run for an f runs over Z/N and is
-stored with its count and basis; a later field reads its own projection of
-them.  A field runs on its own, from its set-up's own state, when the run
-split, when its generators are not the projection of the shared ones, or
-when its budget is below the stored count.  The shared state and the
-stored runs go once the last field is done.  This is Traverso's trace
-idea (Groebner trace algorithms, ISSAC 1988) and Arnold's lucky primes
-(J. Symb. Comput. 35 (2003)) the other way round: every step is checked,
-so no prime has to be trusted to be lucky.
+inverts with pow(lc, -1, N) and raises `_Split` when it cannot, and only
+then does a field run on its own.  A basis is projected to GF(p) by
+reducing every coefficient mod p and dropping the terms that become 0.
+This is Traverso's trace idea (Groebner trace algorithms, ISSAC 1988) and
+Arnold's lucky primes (J. Symb. Comput. 35 (2003)) the other way round:
+every step is checked, so no prime has to be trusted to be lucky.
 """
 
 from __future__ import annotations
@@ -89,7 +80,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ResourceLimitError, UsageError
-from .polyalg import Mono, Polynomial, PolyRing, mono_one
+from .polyalg import FieldMismatchError, Mono, Polynomial, PolyRing, mono_one
 
 DEFAULT_SPAIR_BUDGET = 200_000
 SPAIR_BUDGET_ENV = "EDGEIDEAL_SPAIR_BUDGET"
@@ -278,18 +269,17 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 class _Run:
     """The state of one Buchberger run: the packing, the monic divisors and
     leading-monomial data of the basis so far, the per-variable and
-    per-degree bitsets of basis indices, the pair heap and the inputs added
-    (each a tuple of terms).
+    per-degree bitsets of basis indices and the pair heap.
 
-    Adding an input reduces it and queues its pairs but processes no S-pair,
-    so a state saved after some inputs is the same for every run that starts
-    with them; `then` and `resume` let each such run resume from it.  `ring`
-    gives the variables; the coefficients are taken mod `modulus`, by
-    default the ring's prime, else a product of distinct primes, one lane
-    each."""
+    Adding an input (a tuple of terms) reduces it and queues its pairs but
+    processes no S-pair, so a state saved after some inputs is the same for
+    every run that starts with them; `then` lets each such run resume from
+    it.  `ring` gives the variables; the coefficients are taken mod
+    `modulus`, by default the ring's prime, else a product of distinct
+    primes, one lane each."""
 
     __slots__ = ("ring", "modulus", "pk", "divisors", "leads", "holders", "by_degree", "heap",
-                 "unit", "inputs")
+                 "unit")
 
     def __init__(self, ring: PolyRing, degree: int, modulus: int | None = None):
         self.ring = ring
@@ -302,7 +292,6 @@ class _Run:
         # (lcm degree or a lower bound of it, lowest i, j, bitset of the i, exact?)
         self.heap: list[tuple[int, int, int, int, bool]] = []
         self.unit = False  # a unit was found: the ideal is the whole ring
-        self.inputs: list[tuple] = []
 
     @classmethod
     def saved(cls, ring: PolyRing, inputs: Sequence[tuple],
@@ -319,24 +308,17 @@ class _Run:
         new = object.__new__(_Run)
         new.ring, new.modulus, new.pk, new.unit = self.ring, self.modulus, self.pk, self.unit
         new.divisors, new.leads, new.holders = self.divisors[:], self.leads[:], self.holders[:]
-        new.by_degree, new.heap, new.inputs = self.by_degree.copy(), self.heap[:], self.inputs[:]
+        new.by_degree, new.heap = self.by_degree.copy(), self.heap[:]
         degree = _input_degree((terms,))
         if degree >= new.pk.limit:
             new.widen(degree)
         new.add(terms)
         return new
 
-    def resume(self, generators: Sequence[Polynomial], budget: int) -> GroebnerBasis:
-        """The reduced basis of the run from this state that adds the last of
-        `generators`, the others being this state's inputs."""
-        _check_saved(self.ring, self.inputs, generators)
-        return _basis(self.ring, self.then(generators[-1].terms).finish(budget))
-
     def add(self, terms: tuple):
         """Reduce an input, whose degree the packing takes, by the basis so
-        far and add the remainder.  Once a unit is found, inputs are only
-        recorded."""
-        self.inputs.append(terms)
+        far and add the remainder.  Once a unit is found, inputs are
+        ignored."""
         if self.unit or not terms:
             return
         pk = self.pk
@@ -465,12 +447,6 @@ class _Run:
         return processed, pk, None if unit else _reduce_basis(divisors, guards, p)
 
 
-def _check_saved(ring: PolyRing, inputs: list[tuple], generators: Sequence[Polynomial]):
-    """Raise ValueError unless `ring` and `inputs` are those of `generators[:-1]`."""
-    if generators[0].ring != ring or inputs != [g.terms for g in generators[:-1]]:
-        raise ValueError("the saved run state was not built from generators[:-1]")
-
-
 def _basis(ring: PolyRing, outcome: tuple[int, _Packing, list | None]) -> GroebnerBasis:
     """The reduced basis over `ring` of a run's outcome, whose modulus the
     ring's prime divides: that lane's projection, as `Polynomial` reduces
@@ -482,7 +458,7 @@ def _basis(ring: PolyRing, outcome: tuple[int, _Packing, list | None]) -> Groebn
 
 
 def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None, *,
-               resume: _Run | Rabinowitsch | None = None) -> GroebnerBasis:
+               resume: Rabinowitsch | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `generators`.
 
     Each basis element is kept monic and packed, with its leading-monomial
@@ -492,10 +468,11 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
     once more than `spair_budget` S-pairs have been processed (default from
     spair_budget_default()).
 
-    `resume`, if given, is a `Rabinowitsch` set-up, or any run state saved
-    after adding exactly `generators[:-1]` (checked, not trusted); the run
-    resumes from it and adds only the last generator.  Its pairs, basis,
-    count and budget cut-off are those of a run from scratch.
+    `resume`, if given, is a `Rabinowitsch` set-up whose generators, lifted
+    into the field of `generators`, are exactly `generators[:-1]` (checked,
+    not trusted); the run resumes from its state and adds only the last
+    generator.  Its pairs, basis, count and budget cut-off are those of a
+    run from scratch.
     """
     if not generators:
         raise DegenerateInputError("empty generator list")
@@ -523,123 +500,123 @@ def _reduce_basis(divisors: list[tuple], guards: int, p: int) -> list[dict[int, 
     return reduced
 
 
-class Shared:
-    """One Buchberger run per tested f for several fields GF(p) at once, over
-    Z/N with N the product of the primes (`moduli`, the lanes).  It holds
-    the state after adding `generators` lifted by one variable t, their
-    coefficients read as integers mod N, and the outcome of each last input
-    run from it so far (None for a run that split).  The state is built the
-    first time a field's set-up asks whether it is served, and let go once
-    the last lane is done."""
-
-    __slots__ = ("generators", "moduli", "start", "outcomes")
-
-    def __init__(self, generators: Sequence[Polynomial], moduli: Sequence[int]):
-        self.generators, self.moduli = generators, moduli
-        self.outcomes: dict[tuple, tuple | None] | None = None  # None until built
-
-    def _build(self):
-        n = math.prod(self.moduli)
-        lifted = (tuple((m + (0,), c % n) for m, c in g.terms if c % n) for g in self.generators)
-        inputs = [terms for terms in lifted if terms]
-        self.start: _Run | None = None
-        self.outcomes = {}
-        if inputs:
-            try:
-                self.start = _Run.saved(self.generators[0].ring.extend(), inputs, n)
-            except _Split:
-                pass
-
-    def serves(self, p: int, inputs: list[tuple]) -> bool:
-        """True when GF(p) is a lane, the generators did not split, and
-        `inputs` are their projection: the same terms, less those that are
-        0 mod p."""
-        if self.outcomes is None:
-            self._build()
-        return (self.start is not None and p in self.moduli
-                and inputs == [tuple((m, c % p) for m, c in terms if c % p)
-                               for terms in self.start.inputs])
-
-    def done(self, p: int):
-        """Lane p has read every run it needs.  No lane reads a stored run
-        after the last one in `moduli`, so then the state and the runs go,
-        inside that lane's work; a set-up asking later runs on its own."""
-        if p == self.moduli[-1]:
-            self.start, self.outcomes = None, {}
-
-    def outcome(self, terms: tuple, p: int, budget: int) -> tuple | None:
-        """The outcome of the run that adds a lift of lane p's last input
-        `terms`: stored, or run now under `budget`; None if it split or the
-        state is gone.
-
-        The lift reads each coefficient a but the last as a - p, and the last
-        as a.  So the last input 1 - t*f of a Rabinowitsch system lifts to
-        1 - t*F, F being f with its coefficients read as integers in [1, p),
-        and every lane whose f is read from the same integers finds it."""
-        start = self.start
-        if start is None:  # let go by `done`
-            return None
-        n = start.modulus
-        key = (*((m, (c - p) % n) for m, c in terms[:-1]), *terms[-1:])
-        try:
-            return self.outcomes[key]
-        except KeyError:
-            pass
-        try:
-            outcome = start.then(key).finish(budget)
-        except _Split:
-            outcome = None
-        self.outcomes[key] = outcome
-        return outcome
-
-
 class Rabinowitsch:
-    """The part of the Rabinowitsch test that depends only on the generators:
-    the ring extended by one auxiliary variable t (appended last, hence
-    lowest priority) and the nonzero generators lifted into it, resumed by
-    `buchberger` like a saved run state.  The run for each f is read from a
-    `Shared` run that serves this field; otherwise, after a split, or under
-    a budget below the stored count, it resumes the field's own state after
-    the lifted generators, built the first time it is needed."""
+    """The part of the Rabinowitsch test that depends only on `generators`,
+    for each field GF(p) with p in `moduli` (by default the generators' own
+    field): the field's ring extended by one auxiliary variable t (appended
+    last, hence lowest priority), the generators lifted into it, their
+    coefficients read mod p, and the runs that `buchberger` resumes.
 
-    __slots__ = ("ring", "ext", "lifted", "inputs", "shared", "own")
+    A field's lifts are built the first time it asks.  The state after the
+    generators lifted mod N, N the product of the moduli, is built the first
+    time a run is asked for, and each f's run from it is stored with its
+    count and basis for every field to read.  A field runs on its own, from
+    its own state, only where that run split, or once the state over Z/N is
+    gone.  `done(p)` lets field p's lifts and own state go, and after the
+    last of `moduli` the state over Z/N and the stored runs too."""
 
-    def __init__(self, ring: PolyRing, generators: Sequence[Polynomial],
-                 shared: Shared | None = None):
-        ext = ring.extend()
-        lifted = [ext.lift(g) for g in generators if not g.is_zero]
-        if not lifted:
+    __slots__ = ("generators", "moduli", "lifts", "alone", "start", "runs", "built")
+
+    def __init__(self, generators: Sequence[Polynomial], moduli: Sequence[int] | None = None):
+        if not generators:
             raise DegenerateInputError("empty generator list")
-        self.ring, self.ext, self.lifted = ring, ext, lifted
-        self.inputs = [g.terms for g in lifted]
-        if shared is not None and not shared.serves(ring.modulus, self.inputs):
-            shared = None
-        self.shared = shared
-        self.own: _Run | None = None
+        self.generators = generators
+        self.moduli = (generators[0].ring.modulus,) if moduli is None else moduli
+        self.lifts: dict[int, tuple[PolyRing, list[Polynomial]]] = {}  # p: (ring, lifts)
+        self.alone: dict[int, _Run] = {}  # p: the field's own state after its lifts
+        self.runs: dict[tuple, tuple | None] | None = None  # None until `start` is built
+        self.built: tuple | None = None  # the last input `system` built, and its lift mod N
+
+    def _lifted(self, n: int) -> list[tuple]:
+        """The terms of each generator that is nonzero mod n, times t^0,
+        its coefficients read mod n."""
+        first, out = self.generators[0], []
+        for g in self.generators:
+            first._check_ring(g)
+            terms = tuple((m + (0,), c % n) for m, c in g.terms if c % n)
+            if terms:
+                out.append(terms)
+        if not out:
+            raise DegenerateInputError("empty generator list")
+        return out
+
+    def _field(self, p: int) -> tuple[PolyRing, list[Polynomial]]:
+        """GF(p)'s ring and the generators lifted into its extension by t."""
+        if p not in self.lifts:
+            if p not in self.moduli:
+                raise FieldMismatchError(f"GF({p}) vs the moduli {list(self.moduli)}")
+            ring = PolyRing(p, self.generators[0].ring.names)
+            ext = ring.extend()
+            self.lifts[p] = ring, [Polynomial.from_sorted(ext, terms) for terms in self._lifted(p)]
+        return self.lifts[p]
 
     def system(self, f: Polynomial) -> list[Polynomial]:
-        """The lifted generators, then 1 - t*f.  That is built from the
-        terms of f: t*m for each term m, then the constant 1.  Multiplying
-        by t keeps the descending grevlex order and gives every term a
-        positive degree, so the terms are in order as built."""
-        p = self.ring.modulus
-        shift = self.ring.padding(f.ring) + (1,)
-        terms = tuple((m + shift, p - c) for m, c in f.terms)
-        return [*self.lifted,
-                Polynomial.from_sorted(self.ext, terms + ((mono_one(self.ext.nvars), 1),))]
+        """The generators lifted into the field of f, then 1 - t*f.  That is
+        built from the terms of f: t*m for each term m, then the constant 1.
+        Multiplying by t keeps the descending grevlex order and gives every
+        term a positive degree, so the terms are in order as built.  Its run
+        over Z/N adds 1 - t*F, F being f with its coefficients read as
+        integers in [1, p), so every field whose f has the same integers
+        reads the same run."""
+        p = f.ring.modulus
+        ring, lifted = self._field(p)
+        ext = lifted[0].ring
+        n = math.prod(self.moduli)
+        shift = ring.padding(f.ring) + (1,)
+        tf = tuple((m + shift, c) for m, c in f.terms)
+        one = ((mono_one(ext.nvars), 1),)
+        last = Polynomial.from_sorted(ext, tuple((m, p - c) for m, c in tf) + one)
+        self.built = last, tuple((m, n - c) for m, c in tf) + one
+        return [*lifted, last]
 
     def resume(self, generators: Sequence[Polynomial], budget: int) -> GroebnerBasis:
         """The reduced basis of the run that adds the last of `generators`,
-        the others being the lifted generators."""
-        _check_saved(self.ext, self.inputs, generators)
-        terms = generators[-1].terms
-        if self.shared is not None:
-            outcome = self.shared.outcome(terms, self.ring.modulus, budget)
-            if outcome is not None and outcome[0] <= budget:
-                return _basis(self.ext, outcome)
-        if self.own is None:
-            self.own = _Run.saved(self.ext, self.inputs)
-        return _basis(self.ext, self.own.then(terms).finish(budget))
+        the others being the generators lifted into its field.  A last
+        input that `system` did not build is read mod N as it stands."""
+        ext, last = generators[0].ring, generators[-1]
+        p = ext.modulus
+        if p not in self.moduli or list(generators[:-1]) != self._field(p)[1]:
+            raise ValueError("the saved run state was not built from generators[:-1]")
+        outcome = self._run(self.built[1] if self.built and self.built[0] is last else last.terms,
+                            budget)
+        if outcome is None:
+            if p not in self.alone:
+                self.alone[p] = _Run.saved(ext, [g.terms for g in generators[:-1]])
+            outcome = self.alone[p].then(last.terms).finish(budget)
+        return _basis(ext, outcome)
+
+    def _run(self, terms: tuple, budget: int) -> tuple | None:
+        """The outcome of the run over Z/N that adds `terms`: stored, or run
+        now under `budget`, which raises ResourceLimitError at that budget's
+        cut-off; None where it split or the state is gone."""
+        if self.runs is None:
+            self.runs = {}
+            n = math.prod(self.moduli)
+            try:
+                self.start = _Run.saved(self.generators[0].ring.extend(), self._lifted(n), n)
+            except _Split:
+                self.start = None
+        outcome = self.runs.get(terms)
+        if self.start is not None and (terms not in self.runs or outcome and outcome[0] > budget):
+            # not run yet, or stored with more pairs than `budget`: run it
+            # under `budget`, which stops at that budget's cut-off
+            try:
+                outcome = self.start.then(terms).finish(budget)
+            except _Split:
+                outcome = None
+            self.runs[terms] = outcome
+        return outcome
+
+    def done(self, p: int):
+        """Field p has run every test it needs: its lifts and own state go,
+        and after the last of `moduli` the state over Z/N and the stored runs
+        too, inside that field's work.  A field asking later runs on its
+        own."""
+        self.lifts.pop(p, None)
+        self.alone.pop(p, None)
+        self.built = None
+        if p == self.moduli[-1]:
+            self.start, self.runs = None, {}
 
 
 def radical_membership(f: Polynomial, generators: Sequence[Polynomial] | Rabinowitsch,
@@ -652,13 +629,13 @@ def radical_membership(f: Polynomial, generators: Sequence[Polynomial] | Rabinow
     with one Buchberger run.  The certificate is valid over the algebraic
     closure of the coefficient field.  `generators` is a sequence of
     polynomials, or the Rabinowitsch set-up of one, built once and shared by
-    every f tested against it; the run then resumes from the state saved
-    after the generators were added, with the same pairs, basis and count.
+    every f tested against it, over every field it serves; the run resumes
+    from the state saved after the generators were added, with the same
+    pairs, basis and count.
     """
     if f.is_zero:
         raise DegenerateInputError("radical membership of the zero polynomial")
-    setup = (generators if isinstance(generators, Rabinowitsch)
-             else Rabinowitsch(f.ring, generators))
+    setup = generators if isinstance(generators, Rabinowitsch) else Rabinowitsch(generators)
     gb = buchberger(setup.system(f), spair_budget, resume=setup)
     if stats is not None:
         stats.absorb(gb)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Mapping
 
 Mono = tuple[int, ...]
@@ -191,7 +190,7 @@ class PolyRing:
         for nm in names:
             e[self._index[nm]] += 1
         for nm, k in powers.items():
-            if not isinstance(k, int) or k < 0:
+            if type(k) is not int or k < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {nm}={k!r}")
             e[self._index[nm]] += k
         return tuple(e)
@@ -269,7 +268,7 @@ class Polynomial:
         for m, c in terms.items():
             if len(m) != nv:
                 raise DimensionError(f"monomial {m} in {nv}-variable ring")
-            if not all(map(isinstance, m, repeat(int))) or min(m, default=0) < 0:
+            if not all(type(e) is int for e in m) or min(m, default=0) < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {m}")
             c %= p
             if c:
@@ -399,5 +398,16 @@ def poly_to_json(poly: Polynomial) -> dict:
     return {"terms": [{"c": c, "e": list(m)} for m, c in poly.terms]}
 
 
+def _json_coefficient(c) -> int:
+    """A coefficient read with operator.index, as `prime_modulus` reads a
+    field: 2.5, "3" and True are refused with ValueError, not truncated."""
+    if not isinstance(c, bool):
+        try:
+            return operator.index(c)
+        except TypeError:
+            pass
+    raise ValueError(f"coefficients must be integers, got {c!r}")
+
+
 def poly_from_json(ring: PolyRing, obj: Mapping) -> Polynomial:
-    return ring.poly({tuple(t["e"]): int(t["c"]) for t in obj["terms"]})
+    return ring.poly({tuple(t["e"]): _json_coefficient(t["c"]) for t in obj["terms"]})

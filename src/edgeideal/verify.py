@@ -5,11 +5,12 @@ The forward inclusion (every term of every generator lies in the edge ideal)
 is a termwise divisibility check.  The reverse inclusion is certified one
 edge monomial at a time via radical membership over each requested prime
 field, so a failure is isolated to a specific edge and field.  `certify`
-hands its fields one `groebner.Shared` run: the first field's call of
-`verify_reverse` adds the sequence to it once for all of them and runs
-each edge's test once, over Z/N with N the product of the primes, every
-later field's call takes its own counts and answers from those runs, and
-the last field's call lets them go.
+hands every field one `groebner.Rabinowitsch` set-up of the sequence: the
+first field's call of `verify_reverse` adds the sequence to it once for
+all of them and runs each edge's test once, over Z/N with N the product of
+the primes, every later field's call takes its own counts and answers from
+those runs, and each call lets its field's state go, the last one the
+runs too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .graphs import FamilySpec, Graph, build, edge_ideal, parse_spec, ring_of
 from .groebner import (
     GroebnerStats,
     Rabinowitsch,
-    Shared,
     radical_membership,
     spair_budget_default,
 )
@@ -89,18 +89,20 @@ def verify_forward(seq: GeneratorSequence, g: Graph | None = None) -> list[bool]
 def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
                    modulus: int = 2, *, spair_budget: int | None = None,
                    stats: GroebnerStats | None = None,
-                   shared: Shared | None = None) -> list[bool]:
+                   setup: Rabinowitsch | None = None) -> list[bool]:
     """Per-edge radical membership of each edge monomial of g in the ideal
     generated by the sequence, over GF(modulus).
 
-    `shared`, if given, is the `Shared` run of the sequence over the fields
-    of one certification, called in the order of its moduli: the first call
-    builds it and runs each edge once for all the fields, each later call
-    takes its results from it, and the last one lets it go."""
+    `setup`, if given, is the `Rabinowitsch` set-up of the sequence for the
+    fields of one certification, called in the order of its moduli: the
+    first call builds its state and runs each edge once for all the fields,
+    each later call takes its results from it, and each call lets its
+    field's state go, the last one the runs too.  By default the call builds
+    a set-up for GF(modulus) alone."""
     g = g or seq.graph
     ring = ring_of(g, modulus)
-    # the extended ring and the lifted sequence, once per field
-    setup = Rabinowitsch(ring, [ring.convert(q) for q in seq.polys], shared)
+    if setup is None:
+        setup = Rabinowitsch(seq.polys, (ring.modulus,))
     out = []
     for u, v in g.edges:
         target = ring.term(1, ring.monomial(u, v))
@@ -112,8 +114,7 @@ def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
                 f"radical membership of edge {u}*{v} over GF({modulus}): {exc}",
                 stage="verify_reverse",
                 detail={**(exc.detail or {}), "edge": (u, v), "modulus": modulus}) from exc
-    if shared is not None:
-        shared.done(modulus)
+    setup.done(ring.modulus)
     return out
 
 
@@ -147,9 +148,9 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
         raise UsageError(f"no closed-form projective dimension for {name}")
     if not fields:
         raise UsageError("certify needs at least one field")
-    # a bad or repeated modulus, or a bad S-pair budget (the argument, else
-    # $EDGEIDEAL_SPAIR_BUDGET), fails before any field's work; only the
-    # validated ints are passed on and reported
+    # a bad or repeated modulus, a bad S-pair budget (the argument, else
+    # $EDGEIDEAL_SPAIR_BUDGET) or a non-int homology limit fails before any
+    # field's work; only the validated ints are passed on and reported
     try:
         moduli = tuple(map(prime_modulus, fields))
     except ValueError as exc:
@@ -158,8 +159,10 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
         raise UsageError(f"repeated field in {list(fields)}")
     if spair_budget is None:
         spair_budget = spair_budget_default()
-    if not isinstance(spair_budget, int) or spair_budget < 0:
+    if type(spair_budget) is not int or spair_budget < 0:
         raise UsageError(f"S-pair budget must be a non-negative integer, got {spair_budget!r}")
+    if type(homology_max_vertices) is not int:
+        raise UsageError(f"homology limit must be an integer, got {homology_max_vertices!r}")
 
     stats = GroebnerStats()
     started = time.perf_counter_ns()
@@ -168,18 +171,18 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
         graph = build(spec)
         forward, reverse, reverse_ok, length, case = (), (), [], None, formula.case_tag
     else:
-        # One sequence serves every field: verify_reverse reads it into each
+        # One sequence serves every field: the set-up lifts it into each
         # field's ring, and its coefficients are small integers, exact in
         # the default GF(32003).  It carries the graph of `spec`.
         seq = sequence_for(spec)
         graph = seq.graph
         forward = tuple(verify_forward(seq, graph))
-        shared = Shared(seq.polys, moduli)
+        setup = Rabinowitsch(seq.polys, moduli)
         reverse_by_field = []
         for p in moduli:
             reverse_by_field.append(
                 verify_reverse(seq, graph, p, spair_budget=spair_budget, stats=stats,
-                               shared=shared))
+                               setup=setup))
         reverse_ok = list(map(all, zip(*reverse_by_field)))
         reverse = tuple(zip(map("*".join, graph.edges), reverse_ok))
         length, case = seq.claimed_length, seq.case_tag

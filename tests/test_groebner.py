@@ -13,7 +13,6 @@ from edgeideal.groebner import (
     DegenerateInputError,
     GroebnerStats,
     Rabinowitsch,
-    Shared,
     buchberger,
     normal_form,
     radical_membership,
@@ -407,12 +406,13 @@ def test_radical_membership_rejects_zero():
 
 
 def test_radical_membership_checks_with_a_set_up():
-    # the same checks whether the generators come as a list or as a set-up
+    # the same checks whether the generators come as a list or as a set-up,
+    # for one field or several: a field outside the set-up's moduli, or a
+    # ring with other names, is refused
     seq = cycle_sequence(5, modulus=2)
     R = seq.ring
-    setup = Rabinowitsch(R, list(seq.polys))
     f = R.term(1, R.monomial("x3", "x4"))
-    for gens in (list(seq.polys), setup):
+    for gens in (list(seq.polys), Rabinowitsch(seq.polys), Rabinowitsch(seq.polys, (2, 5))):
         assert radical_membership(f, gens)
         with pytest.raises(DegenerateInputError):
             radical_membership(R.zero(), gens)
@@ -424,7 +424,7 @@ def test_radical_membership_checks_with_a_set_up():
     with pytest.raises(DegenerateInputError, match="empty generator list"):
         radical_membership(f, [R.zero()])
     with pytest.raises(DegenerateInputError, match="empty generator list"):
-        Rabinowitsch(R, [])
+        Rabinowitsch([])
 
 
 # -- runs resumed from a saved state -----------------------------------------------------
@@ -432,6 +432,11 @@ def test_radical_membership_checks_with_a_set_up():
 def _saved(gens):
     """The run state after adding every generator but the last."""
     return groebner._Run.saved(gens[0].ring, [g.terms for g in gens[:-1]])
+
+
+def _resume(start, gens, budget=groebner.DEFAULT_SPAIR_BUDGET):
+    """The reduced basis of the run from `start` that adds the last of `gens`."""
+    return groebner._basis(gens[0].ring, start.then(gens[-1].terms).finish(budget))
 
 
 def _resumes_like_a_fresh_run(gens, rng=None):
@@ -444,15 +449,15 @@ def _resumes_like_a_fresh_run(gens, rng=None):
     budgets = range(fresh.spairs_processed + 1)
     if fresh.spairs_processed > 100:
         budgets = [0, *rng.sample(budgets, 20), fresh.spairs_processed - 1]
-    for budget in (None, *budgets):
-        if budget is not None and budget < fresh.spairs_processed:
+    for budget in (groebner.DEFAULT_SPAIR_BUDGET, *budgets):
+        if budget < fresh.spairs_processed:
             with pytest.raises(ResourceLimitError) as want:
                 buchberger(gens, spair_budget=budget)
             with pytest.raises(ResourceLimitError) as got:
-                buchberger(gens, spair_budget=budget, resume=start)
+                _resume(start, gens, budget)
             assert got.value.detail == want.value.detail
         else:
-            gb = buchberger(gens, spair_budget=budget, resume=start)
+            gb = _resume(start, gens, budget)
             assert (gb.generators, gb.spairs_processed) == (fresh.generators,
                                                             fresh.spairs_processed)
     return fresh
@@ -490,26 +495,42 @@ def test_a_resumed_run_widens_its_copy(monkeypatch):
     x, y, t = (R.variable(i) for i in range(3))
     gens = [x * y + y * y, R.one() - t * R.term(1, (1 << (FIELD_BITS - 1), 0, 0))]
     start = _saved(gens)
-    assert buchberger(gens, resume=start) == buchberger(gens)
+    assert _resume(start, gens) == buchberger(gens)
     # the saved state, the copy widened once, the run from scratch
     assert widths == [FIELD_BITS, 2 * FIELD_BITS, 2 * FIELD_BITS]
     assert start.pk.width == FIELD_BITS
 
 
 def test_a_saved_state_must_match_the_inputs():
+    # buchberger resumes from a set-up only when the other inputs are its
+    # generators lifted into a field it serves, in order
     R = ring(2)
     gens = [edge(R, "x1", "x2"), edge(R, "x2", "x3"), edge(R, "x3", "x4")]
-    start = _saved(gens)
-    for bad in (gens[1:], [gens[1], gens[0], gens[2]], [gens[0], gens[2]],
-                [edge(ring(3), "x1", "x2"), edge(ring(3), "x2", "x3"), edge(ring(3), "x3", "x4")]):
+    setup = Rabinowitsch(gens, (2, 3))
+    f = edge(R, "x1", "x4")
+    system = setup.system(f)
+    elsewhere = Rabinowitsch(gens, (5,)).system(edge(ring(5), "x1", "x4"))
+    for bad in (system[1:], [system[1], system[0], *system[2:]], system[:1] + system[2:],
+                Rabinowitsch(gens[:2]).system(f), elsewhere):
         with pytest.raises(ValueError, match="saved run state"):
-            buchberger(bad, resume=start)
-    assert buchberger(list(gens), resume=start) == buchberger(gens)
+            buchberger(bad, resume=setup)
+    assert buchberger(list(system), resume=setup) == buchberger(system)
+    assert not setup.alone  # each field's run came from the run over Z/6
 
 
 # -- pinned S-pair counts ----------------------------------------------------------------
 
 GOLDEN_SPAIRS = Path(__file__).resolve().parent / "data" / "spairs12.jsonl"
+
+
+def _scratch_system(R, polys, f):
+    """The Rabinowitsch system of `polys` and f over R by polynomial
+    arithmetic: the polynomials converted into R and lifted by t, the zero
+    ones dropped, then 1 - t*f."""
+    ext = R.extend()
+    t = ext.variable(ext.nvars - 1)
+    lifted = [ext.lift(R.convert(q)) for q in polys]
+    return [g for g in lifted if not g.is_zero] + [ext.one() - t * ext.lift(f)]
 
 
 def _edge_runs(spec, p):
@@ -519,15 +540,11 @@ def _edge_runs(spec, p):
     makes it, must have the same inputs, basis and count."""
     seq = sequence_for(spec)
     R = ring_of(seq.graph, p)
-    gens = [R.convert(q) for q in seq.polys]
-    setup = Rabinowitsch(R, gens)
-    ext = R.extend()
-    t = ext.variable(ext.nvars - 1)
-    lifted = [ext.lift(g) for g in gens if not g.is_zero]
+    setup = Rabinowitsch(seq.polys, (p,))
     runs = []
     for u, v in seq.graph.edges:
         f = R.term(1, R.monomial(u, v))
-        system = lifted + [ext.one() - t * ext.lift(f)]
+        system = _scratch_system(R, seq.polys, f)
         gb = buchberger(system)
         assert setup.system(f) == system
         resumed = buchberger(setup.system(f), resume=setup)
@@ -550,37 +567,34 @@ def test_spair_counts_match_the_golden():
 
 # -- one run for several fields, over Z/N ------------------------------------------------
 
-def _shared_runs(polys, names, edges, moduli):
-    """The `Shared` run of `polys` over `moduli`, and per field the
-    (basis, count) of each edge's run through the field's set-up on it and
-    through the field's own set-up."""
-    shared, out = Shared(polys, moduli), {}
+def _joint_runs(polys, names, edges, moduli):
+    """The set-up of `polys` for `moduli`, and per field the (basis, count)
+    of each edge's run through it and from scratch."""
+    setup, out = Rabinowitsch(polys, moduli), {}
     for p in moduli:
         R = PolyRing(p, names)
-        gens = [R.convert(q) for q in polys]
-        setup, own = Rabinowitsch(R, gens, shared), Rabinowitsch(R, gens)
         for u, v in edges:
             f = R.term(1, R.monomial(u, v))
             via = buchberger(setup.system(f), resume=setup)
-            alone = buchberger(own.system(f), resume=own)
+            alone = buchberger(_scratch_system(R, polys, f))
             out[p, u, v] = ((via.generators, via.spairs_processed),
                             (alone.generators, alone.spairs_processed))
-    return shared, out
+    return setup, out
 
 
 @pytest.mark.parametrize("moduli", [(2, 32003), (2, 3, 32003)])
 def test_joint_runs_match_the_golden(moduli):
-    # every edge of the golden file through one shared run over Z/N: each
+    # every edge of the golden file through one set-up over Z/N: each
     # field's count and answer are the golden line's (GF(3) has none: its
-    # runs are compared with the field's own), and no run splits
+    # runs are compared with runs from scratch), and no run splits
     golden = {(spec, p): runs for spec, p, runs in map(
         json.loads, GOLDEN_SPAIRS.read_text(encoding="utf-8").splitlines())}
     for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell"), 12):
         seq = sequence_for(spec)
-        shared, runs = _shared_runs(seq.polys, seq.graph.labels, seq.graph.edges, moduli)
-        # one shared run per edge, and none split
-        assert len(shared.outcomes) == len(seq.graph.edges)
-        assert None not in shared.outcomes.values()
+        setup, runs = _joint_runs(seq.polys, seq.graph.labels, seq.graph.edges, moduli)
+        # one run over Z/N per edge, none split, and no field ran alone
+        assert len(setup.runs) == len(seq.graph.edges)
+        assert None not in setup.runs.values() and not setup.alone
         for p in moduli:
             got = [runs[p, u, v] for u, v in seq.graph.edges]
             assert all(via == alone for via, alone in got)
@@ -588,46 +602,38 @@ def test_joint_runs_match_the_golden(moduli):
                 assert [[n, len(basis)] for (basis, n), _ in got] == golden[str(spec), p]
 
 
-def _shared_cutoffs_match(seq, edge, moduli, rng):
-    """At every budget below the count (20 drawn from `rng` plus 0 and
-    count - 1 once it passes 100), the first field's shared run stops where
-    the field's own run does, with the same detail; from the count on it
-    gives the same basis, and a later field takes its stored result, or
-    runs alone under a smaller budget."""
-    first, later = moduli[0], moduli[-1]
-    shared = Shared(seq.polys, moduli)
-    runs = {}
-    for p in (first, later):
+def _cutoff(system, budget, resume=None):
+    """The detail of the budget error of a run that must stop short."""
+    with pytest.raises(ResourceLimitError) as err:
+        buchberger(system, spair_budget=budget, resume=resume)
+    return err.value.detail
+
+
+def _joint_cutoffs_match(seq, edge, moduli, rng):
+    """Under every budget below the count (20 drawn from `rng` plus 0 and
+    count - 1 once it passes 100), the first field's run through the set-up
+    stops where its run from scratch does, with the same detail, and stores
+    nothing; from the count on it gives the same basis.  Every later field
+    reads that run, and under count - 1 and a random budget stops where its
+    own run from scratch does."""
+    setup = Rabinowitsch(seq.polys, moduli)
+    for k, p in enumerate(moduli):
         R = ring_of(seq.graph, p)
-        gens = [R.convert(q) for q in seq.polys]
-        setup, own = Rabinowitsch(R, gens, shared), Rabinowitsch(R, gens)
-        assert setup.shared is shared
-        runs[p] = (setup.system(R.term(1, R.monomial(*edge))), setup, own)
-    system, setup, own = runs[first]
-    fresh = buchberger(system, resume=own)
-    budgets = range(fresh.spairs_processed)
-    if fresh.spairs_processed > 100:
-        budgets = [0, *rng.sample(budgets, 20), fresh.spairs_processed - 1]
-    for budget in budgets:
-        with pytest.raises(ResourceLimitError) as want:
-            buchberger(system, spair_budget=budget, resume=own)
-        with pytest.raises(ResourceLimitError) as got:
-            buchberger(system, spair_budget=budget, resume=setup)
-        assert got.value.detail == want.value.detail
-    assert not shared.outcomes  # a run cut short stores nothing
-    gb = buchberger(system, spair_budget=fresh.spairs_processed, resume=setup)
-    assert (gb.generators, gb.spairs_processed) == (fresh.generators, fresh.spairs_processed)
-    assert setup.own is None  # no run of its own was needed
-    system, setup, own = runs[later]
-    alone = buchberger(system, resume=own)
-    assert buchberger(system, resume=setup) == alone
-    if alone.spairs_processed:
-        budget = alone.spairs_processed - 1
-        with pytest.raises(ResourceLimitError) as want:
-            buchberger(system, spair_budget=budget, resume=own)
-        with pytest.raises(ResourceLimitError) as got:
-            buchberger(system, spair_budget=budget, resume=setup)
-        assert got.value.detail == want.value.detail
+        f = R.term(1, R.monomial(*edge))
+        scratch = _scratch_system(R, seq.polys, f)
+        fresh = buchberger(scratch)
+        budgets = range(fresh.spairs_processed)
+        if k:
+            budgets = [*rng.sample(budgets, min(1, len(budgets))), *budgets[-1:]]
+        elif fresh.spairs_processed > 100:
+            budgets = [0, *rng.sample(budgets, 20), fresh.spairs_processed - 1]
+        for budget in budgets:
+            assert _cutoff(setup.system(f), budget, setup) == _cutoff(scratch, budget)
+        assert len(setup.runs or ()) == min(k, 1)  # a run cut short stores nothing
+        gb = buchberger(setup.system(f), spair_budget=fresh.spairs_processed, resume=setup)
+        assert (gb.generators, gb.spairs_processed) == (fresh.generators,
+                                                        fresh.spairs_processed)
+    assert len(setup.runs) == 1 and not setup.alone  # no field ran alone
 
 
 @pytest.mark.parametrize("moduli", [(2, 32003), (2, 3, 32003)])
@@ -636,7 +642,7 @@ def test_joint_runs_stop_where_single_field_runs_do(moduli):
     specs = enumerate_specs(("cycle", "bicyclic", "dumbbell"), 12)
     for spec in rng.sample(specs, 12):
         seq = sequence_for(spec)
-        _shared_cutoffs_match(seq, rng.choice(seq.graph.edges), moduli, rng)
+        _joint_cutoffs_match(seq, rng.choice(seq.graph.edges), moduli, rng)
 
 
 def test_a_leading_coefficient_zero_in_one_lane_splits_the_set_up():
@@ -645,8 +651,8 @@ def test_a_leading_coefficient_zero_in_one_lane_splits_the_set_up():
     src = PolyRing(32003, ["x", "y", "z"])
     x, y, z = (src.variable(i) for i in range(3))
     polys = [x.scale(3) + y, y * z + x * x]
-    shared, runs = _shared_runs(polys, src.names, [("x", "z"), ("y", "z"), ("x", "y")], (3, 5))
-    assert shared.start is None
+    setup, runs = _joint_runs(polys, src.names, [("x", "z"), ("y", "z"), ("x", "y")], (3, 5))
+    assert setup.start is None and set(setup.alone) == {3, 5}
     assert all(via == alone for via, alone in runs.values())
     assert runs[3, "y", "z"][0][0] != runs[5, "y", "z"][0][0]
 
@@ -658,9 +664,9 @@ def test_a_run_that_splits_midway_falls_back_to_each_field():
     src = PolyRing(32003, ["x", "y", "z"])
     x, y, z = (src.variable(i) for i in range(3))
     polys = [(y * y).scale(2) + (y * z).scale(3), x * x * y + (x * z).scale(3)]
-    shared, runs = _shared_runs(polys, src.names, [("x", "z")], (3, 5))
-    assert shared.start is not None
-    assert list(shared.outcomes.values()) == [None]
+    setup, runs = _joint_runs(polys, src.names, [("x", "z")], (3, 5))
+    assert setup.start is not None and set(setup.alone) == {3, 5}
+    assert list(setup.runs.values()) == [None]
     assert all(via == alone for via, alone in runs.values())
     assert runs[3, "x", "z"][0] != runs[5, "x", "z"][0]
 
@@ -671,42 +677,35 @@ def test_mutants_run_jointly_like_each_field():
     nonunit = 0
     for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell"), 8):
         for _, mutated, _ in all_mutations(sequence_for(spec)):
-            _, runs = _shared_runs(mutated.polys, mutated.graph.labels, mutated.graph.edges,
-                                   (2, 32003))
+            _, runs = _joint_runs(mutated.polys, mutated.graph.labels, mutated.graph.edges,
+                                  (2, 32003))
             assert all(via == alone for via, alone in runs.values())
             nonunit += sum(basis != (basis[0].ring.one(),) for (basis, _), _ in runs.values())
     assert nonunit > 100
 
 
 def test_shared_serves_only_its_fields_and_generators():
+    # a field's lifts are built when it first asks, the state over Z/N when
+    # the first run is asked for; a field outside the moduli is refused, and
+    # a last input that `system` did not build runs over Z/N as it stands
     seq = cycle_sequence(5)
-    shared = Shared(seq.polys, (2, 32003))
-    assert shared.outcomes is None  # built when the first set-up asks
-
-    def setup(p, polys):
-        R = ring_of(seq.graph, p)
-        return Rabinowitsch(R, [R.convert(q) for q in polys], shared)
-
-    first = setup(2, seq.polys)
-    assert first.shared is shared
-    f = first.ring.term(1, first.ring.monomial("x1", "x2"))
-    # a field outside the moduli, and other generators, get their own state
-    for other in (setup(3, seq.polys), setup(32003, seq.polys[1:])):
-        assert other.shared is None
-        g = other.ring.term(1, other.ring.monomial("x1", "x2"))
-        assert buchberger(other.system(g), resume=other) == buchberger(other.system(g))
-        assert isinstance(other.own, groebner._Run)
-    assert not shared.outcomes
-    assert buchberger(first.system(f), resume=first).is_unit_ideal
-    assert first.own is None and len(shared.outcomes) == 1
-    # and a set-up checks its inputs like any saved state
-    with pytest.raises(ValueError, match="saved run state"):
-        buchberger(first.system(f)[1:], resume=first)
+    setup = Rabinowitsch(seq.polys, (2, 32003))
+    assert not setup.lifts and setup.runs is None
+    R = ring_of(seq.graph, 2)
+    system = setup.system(R.term(1, R.monomial("x1", "x2")))
+    assert list(setup.lifts) == [2] and setup.runs is None
+    with pytest.raises(FieldMismatchError):
+        setup.system(ring_of(seq.graph, 3).term(1, R.monomial("x1", "x2")))
+    assert buchberger(system, resume=setup).is_unit_ideal
+    assert len(setup.runs) == 1
+    rebuilt = [*system[:-1], system[0].ring.poly(dict(system[-1].terms))]
+    assert buchberger(rebuilt, resume=setup) == buchberger(system)
+    assert len(setup.runs) == 2 and not setup.alone
 
 
 def test_random_systems_run_jointly_like_each_field():
     # small primes make splits common, at the set-up and mid-run; every
-    # field's basis, count and budget cut-off equal its own run's
+    # field's basis, count and budget cut-off equal its run from scratch
     rng = random.Random(7)
     seen = {"set-up splits": 0, "run splits": 0, "cut-offs": 0}
     for _ in range(120):
@@ -718,25 +717,24 @@ def test_random_systems_run_jointly_like_each_field():
                  for _ in range(rng.randint(1, 3))]
         edges = [rng.sample(names, 2) for _ in range(2)]
         budget = rng.choice([None, rng.randint(0, 30)])
-        shared = Shared(polys, moduli)
+        setup = Rabinowitsch(polys, moduli)
         for p in moduli:
             R = PolyRing(p, names)
-            gens = [R.convert(q) for q in polys]
-            if all(g.is_zero for g in gens):
+            if all(R.convert(q).is_zero for q in polys):
                 continue
-            setups = (Rabinowitsch(R, gens, shared), Rabinowitsch(R, gens))
             for u, v in edges:
                 f = R.term(rng.randrange(1, p), R.monomial(u, v))
                 runs = []
-                for s in setups:
+                for system, resume in ((setup.system(f), setup),
+                                       (_scratch_system(R, polys, f), None)):
                     try:
-                        gb = buchberger(s.system(f), budget, resume=s)
+                        gb = buchberger(system, budget, resume=resume)
                         runs.append((gb.generators, gb.spairs_processed))
                     except ResourceLimitError as exc:
                         runs.append(exc.detail)
                 assert runs[0] == runs[1]
                 seen["cut-offs"] += isinstance(runs[0], dict)
-        if shared.outcomes is not None:
-            seen["set-up splits"] += shared.start is None
-            seen["run splits"] += list(shared.outcomes.values()).count(None)
+        if setup.runs is not None:
+            seen["set-up splits"] += setup.start is None
+            seen["run splits"] += list(setup.runs.values()).count(None)
     assert min(seen.values()) > 10, seen

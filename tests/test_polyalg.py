@@ -193,7 +193,8 @@ def test_terms_sorted_descending_and_nonzero():
                for i in range(len(f.terms) - 1))
 
 
-@pytest.mark.parametrize("mono", [(-1, 1), (0, -2), (1.5, 0), (1.0, 0), ("1", 0), (None, 1)])
+@pytest.mark.parametrize("mono", [(-1, 1), (0, -2), (1.5, 0), (1.0, 0), ("1", 0), (None, 1),
+                                  (True, 0)])
 def test_exponents_must_be_non_negative_integers(mono):
     R = PolyRing(2, ["x", "y"])
     with pytest.raises(ValueError):
@@ -202,7 +203,7 @@ def test_exponents_must_be_non_negative_integers(mono):
         poly_from_json(R, {"terms": [{"c": 1, "e": list(mono)}]})
 
 
-@pytest.mark.parametrize("power", [-1, 1.5, 1.0, "1", None])
+@pytest.mark.parametrize("power", [-1, 1.5, 1.0, "1", None, True])
 def test_monomial_rejects_bad_powers(power):
     R = PolyRing(2, ["x", "y"])
     with pytest.raises(ValueError, match="non-negative integers"):
@@ -260,3 +261,12 @@ def test_json_roundtrip_and_term_order():
     assert doc["terms"][0] == {"c": 1, "e": [1, 1, 0, 0, 0, 0]}  # grevlex-largest first
     assert doc["terms"][1] == {"c": 5, "e": [0, 0, 1, 1, 0, 0]}
     assert poly_from_json(R, doc) == f
+
+
+@pytest.mark.parametrize("coeff", [2.5, 7.9, 2.0, "3", True, None])
+def test_json_coefficients_must_be_integers(coeff):
+    # nothing is truncated: over GF(5), 2.5 and 7.9 are not read as 2
+    R = PolyRing(5, ["x"])
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        poly_from_json(R, {"terms": [{"c": coeff, "e": [1]}]})
+    assert poly_from_json(R, {"terms": [{"c": 7, "e": [1]}]}) == R.term(2, (1,))

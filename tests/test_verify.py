@@ -7,7 +7,7 @@ import pytest
 from edgeideal import groebner, verify
 from edgeideal.errors import ResourceLimitError, UsageError
 from edgeideal.graphs import build_from_string, enumerate_specs, parse_spec, ring_of
-from edgeideal.groebner import Rabinowitsch, Shared, buchberger
+from edgeideal.groebner import Rabinowitsch, buchberger
 from edgeideal.sequences import GeneratorSequence, cycle_sequence
 from edgeideal.verify import (
     _verdict,
@@ -137,8 +137,12 @@ def test_certify_checks_fields_before_any_work(monkeypatch):
         certify("cycle:4", (2, 4))
     with pytest.raises(ValueError, match="repeated field"):
         certify("cycle:5", (2, 2))
-    with pytest.raises(UsageError, match="S-pair budget"):
-        certify("cycle:5", spair_budget=-1)
+    for budget in (-1, True, 2.5):
+        with pytest.raises(UsageError, match="S-pair budget"):
+            certify("cycle:5", spair_budget=budget)
+    for limit in (None, "16", 2.5, True):
+        with pytest.raises(UsageError, match="homology limit"):
+            certify("cycle:5", homology_max_vertices=limit)
 
 
 @pytest.mark.parametrize("spec", ["cycle:7", "bicyclic:3,4"])
@@ -260,28 +264,24 @@ def test_certify_over_three_fields_agrees_with_each_field():
 
 
 def test_the_last_lane_lets_the_shared_state_go():
-    # each field's verify_reverse in the order of the moduli: the state and
-    # the runs live until the last lane is done, and a set-up asking after
-    # that runs on its own with the same answers
+    # each field's verify_reverse in the order of the moduli lets that
+    # field's lifts go; the state over Z/N and the runs live until the last
+    # lane is done, and a field asking after that runs on its own with the
+    # same answers
     seq = cycle_sequence(5)
-    shared = Shared(seq.polys, (2, 3, 32003))
+    setup = Rabinowitsch(seq.polys, (2, 3, 32003))
     for p in (2, 3):
-        assert verify_reverse(seq, modulus=p, shared=shared) == [True] * 5
-        assert shared.start is not None and len(shared.outcomes) == 5
-    shared.done(2)  # only the last lane lets go
-    assert shared.start is not None
+        assert verify_reverse(seq, modulus=p, setup=setup) == [True] * 5
+        assert not setup.lifts and not setup.alone and setup.built is None
+        assert setup.start is not None and len(setup.runs) == 5
+    setup.done(2)  # only the last lane lets go
+    assert setup.start is not None
+    assert verify_reverse(seq, modulus=32003, setup=setup) == [True] * 5
+    assert setup.start is None and not setup.runs and not setup.lifts
     R = ring_of(seq.graph, 3)
-    early = Rabinowitsch(R, [R.convert(q) for q in seq.polys], shared)
-    assert early.shared is shared
-    assert verify_reverse(seq, modulus=32003, shared=shared) == [True] * 5
-    assert shared.start is None and not shared.outcomes
-    late = Rabinowitsch(R, [R.convert(q) for q in seq.polys], shared)
-    assert late.shared is None
     f = R.term(1, R.monomial("x1", "x2"))
-    for setup in (early, late):
-        assert buchberger(setup.system(f), resume=setup).is_unit_ideal
-        assert isinstance(setup.own, groebner._Run)
-    assert not shared.outcomes
+    assert buchberger(setup.system(f), resume=setup).is_unit_ideal
+    assert isinstance(setup.alone[3], groebner._Run) and not setup.runs
 
 
 @pytest.mark.parametrize("spec", ["cycle:6", "bicyclic:4,5", "dumbbell:3,1,4", "line:6"])
