@@ -16,6 +16,7 @@ from .homcomplex import (
     BettiTable,
     SimplicialComplex,
     betti_table,
+    betti_tables,
     epsilon_complex,
     projective_dimension,
     reduced_homology_dims,
@@ -47,6 +48,7 @@ __all__ = [
     "SimplicialComplex",
     "VerificationReport",
     "betti_table",
+    "betti_tables",
     "bicyclic_vertex_sequence",
     "build",
     "build_from_string",

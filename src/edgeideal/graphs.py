@@ -9,11 +9,11 @@ y-block, z-block) so downstream computations are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError, UsageError
 from .polyalg import Mono, PolyRing
+from .records import FrozenRecord
 
 MAX_COVER_VERTICES = 25
 
@@ -26,24 +26,22 @@ class SpecParseError(UsageError):
     """A graph spec string does not match the mini-language grammar."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(FrozenRecord):
     """Labeled undirected simple graph.
 
     `labels` fixes the vertex (and ring variable) order; `edges` holds each
     edge with endpoints in label order, the edge list sorted edge-lex.
     """
 
-    labels: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ("labels", "edges", "_index")
 
-    def __post_init__(self):
-        index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(index) != len(self.labels):
+    def __init__(self, labels: tuple[str, ...], edges: tuple[tuple[str, str], ...]):
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
             raise ConstructionError("duplicate vertex labels")
         seen = set()
         canon = []
-        for u, v in self.edges:
+        for u, v in edges:
             if u not in index or v not in index:
                 raise ConstructionError(f"edge endpoint not declared: {(u, v)}")
             if u == v:
@@ -54,6 +52,7 @@ class Graph:
             seen.add((a, b))
             canon.append((a, b))
         canon.sort(key=lambda e: (index[e[0]], index[e[1]]))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "_index", index)
 

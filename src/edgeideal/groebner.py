@@ -76,15 +76,15 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ResourceLimitError, UsageError
 from .polyalg import FieldMismatchError, Mono, Polynomial, PolyRing, mono_one
+from .records import FrozenRecord, Record
 
 DEFAULT_SPAIR_BUDGET = 200_000
 SPAIR_BUDGET_ENV = "EDGEIDEAL_SPAIR_BUDGET"
-FIELD_BITS = 16  # width of a packed exponent field, guard bit included, before any widening
+FIELD_BITS = 8  # width of a packed exponent field, guard bit included, before any widening
 
 
 class DegenerateInputError(ValueError):
@@ -105,25 +105,29 @@ def spair_budget_default() -> int:
     return budget
 
 
-@dataclass
-class GroebnerStats:
+class GroebnerStats(Record):
     """Mutable accumulator threaded through verification pipelines."""
 
-    spairs: int = 0
-    runs: int = 0
+    __slots__ = ("spairs", "runs")
+
+    def __init__(self, spairs: int = 0, runs: int = 0):
+        self.spairs = spairs
+        self.runs = runs
 
     def absorb(self, basis: "GroebnerBasis"):
         self.spairs += basis.spairs_processed
         self.runs += 1
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(FrozenRecord):
     """Reduced Groebner basis: monic generators, no leading monomial divides
     another, every S-polynomial reduces to zero."""
 
-    generators: tuple[Polynomial, ...]
-    spairs_processed: int = 0
+    __slots__ = ("generators", "spairs_processed")
+
+    def __init__(self, generators: tuple[Polynomial, ...], spairs_processed: int = 0):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "spairs_processed", spairs_processed)
 
     def __iter__(self):
         return iter(self.generators)

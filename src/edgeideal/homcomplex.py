@@ -23,6 +23,11 @@ Ind), then every induced chain of three degree-2 vertices is contracted to
 one edge, which lowers the homology of Ind by one degree (Csorba, Subdivision
 yields Alexander duality on independence complexes, Electron. J. Combin.
 16(2) (2009)), and faces are built only for what neither step can shrink.
+Only that last step depends on the field, so `betti_tables` computes the
+tables of several fields in one pass, each core's faces reduced over each
+field, and runs once per field only when two fields give some core
+different homology; `betti_table` is its one-field case, and a `Hochster`
+set-up hands the tables of one pass to one call per field.
 
 Homology is computed from boundary-matrix ranks over the chosen prime field:
 one sparse exact reducer for every prime, reduced top-down with clearing.
@@ -33,11 +38,11 @@ degree -1; the void complex has none anywhere.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 from .errors import ResourceLimitError
 from .graphs import Graph
 from .polyalg import prime_modulus
+from .records import FrozenRecord, Record
 
 MAX_HOMOLOGY_VERTICES = 22
 MAX_BETTI_VERTICES = 20
@@ -49,8 +54,7 @@ class DomainError(ValueError):
 
 # -- simplicial complexes ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(FrozenRecord):
     """Facet-list simplicial complex.
 
     Facets are stored inclusion-maximal and deduplicated.  The complex with a
@@ -58,22 +62,22 @@ class SimplicialComplex:
     the void complex, which has no facets at all.
     """
 
-    vertices: tuple[str, ...]
-    facets: tuple[frozenset, ...]
+    __slots__ = ("vertices", "facets")
 
-    def __post_init__(self):
-        known = set(self.vertices)
-        for f in self.facets:
+    def __init__(self, vertices: tuple[str, ...], facets: tuple[frozenset, ...]):
+        known = set(vertices)
+        for f in facets:
             if not f <= known:
                 raise ValueError(f"facet {sorted(f)} uses undeclared vertices")
         maximal = []
-        for f in self.facets:
-            if any(f < g for g in self.facets):
+        for f in facets:
+            if any(f < g for g in facets):
                 continue
             if f not in maximal:
                 maximal.append(f)
-        order = {v: i for i, v in enumerate(self.vertices)}
+        order = {v: i for i, v in enumerate(vertices)}
         maximal.sort(key=lambda f: (len(f), sorted(order[v] for v in f)))
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", tuple(maximal))
 
     @property
@@ -220,11 +224,13 @@ def reduced_homology_dims(c: SimplicialComplex, fld) -> dict[int, int]:
 
 # -- Betti tables ---------------------------------------------------------------
 
-@dataclass
-class BettiTable:
+class BettiTable(Record):
     """Graded Betti numbers: (homological index, degree) -> dimension > 0."""
 
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[tuple[int, int], int] | None = None):
+        self.entries = {} if entries is None else entries
 
     def get(self, i: int, d: int) -> int:
         return self.entries.get((i, d), 0)
@@ -291,20 +297,32 @@ def _fold(mask: int, nbr: list[int]) -> int:
     return mask
 
 
-def _independence_homology_unfolded(mask: int, nbr: list[int], p: int) -> dict[int, int]:
-    """Reduced homology of Ind(G[mask]) from all of its faces."""
+class _FieldsDiffer(Exception):
+    """Two of the requested fields give a core different homology."""
+
+
+def _independence_homology_unfolded(mask: int, nbr: list[int],
+                                    moduli: tuple[int, ...]) -> dict[int, int]:
+    """Reduced homology of Ind(G[mask]) from all of its faces, built once
+    and reduced over each GF(p) with p in `moduli`; raises _FieldsDiffer
+    unless every field gives the same."""
     faces = [0]
     m = mask
     while m:
         v = (m & -m).bit_length() - 1
         faces += [f | 1 << v for f in faces if not f & nbr[v]]
         m &= m - 1
-    return _homology_from_faces(faces, p)
+    profile = _homology_from_faces(faces, moduli[0])
+    for p in moduli[1:]:
+        if _homology_from_faces(faces, p) != profile:
+            raise _FieldsDiffer
+    return profile
 
 
-def _independence_homology(mask: int, nbr: list[int], p: int,
+def _independence_homology(mask: int, nbr: list[int], moduli: tuple[int, ...],
                            known: dict[int, dict[int, int]] | None = None) -> dict[int, int]:
-    """Reduced homology of Ind(G[mask]), the complex of independent sets.
+    """Reduced homology of Ind(G[mask]), the complex of independent sets,
+    over every GF(p) with p in `moduli`, or _FieldsDiffer where two differ.
 
     G[mask] is folded first, and each component of what is left has its
     induced chains contracted (Csorba's subdivision lemma, see
@@ -322,12 +340,13 @@ def _independence_homology(mask: int, nbr: list[int], p: int,
     for comp in _components(core, nbr):
         part = known.get(comp)
         if part is None:
-            part = known[comp] = _contracted_homology(comp, nbr, p)
+            part = known[comp] = _contracted_homology(comp, nbr, moduli)
         profile = _join(profile, part)
     return profile
 
 
-def _contracted_homology(mask: int, nbr: list[int], p: int) -> dict[int, int]:
+def _contracted_homology(mask: int, nbr: list[int],
+                        moduli: tuple[int, ...]) -> dict[int, int]:
     """Reduced homology of Ind(G[mask]) for a folded, connected G[mask].
 
     If u-a-b-c-w is a path whose inner vertices a, b, c have degree 2, with
@@ -360,8 +379,8 @@ def _contracted_homology(mask: int, nbr: list[int], p: int) -> dict[int, int]:
         nbr[w.bit_length() - 1] |= u
         shift += 1
     if not shift:
-        return _independence_homology_unfolded(mask, nbr, p)
-    return {d + shift: x for d, x in _independence_homology(mask, nbr, p).items()}
+        return _independence_homology_unfolded(mask, nbr, moduli)
+    return {d + shift: x for d, x in _independence_homology(mask, nbr, moduli).items()}
 
 
 def _join(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -417,34 +436,12 @@ def _connected_sets(v: int, mask: int, nbr: list[int]) -> Iterator[tuple[int, in
         stack.append((comp | u, ext | new, seen | new, closed | around))
 
 
-def betti_table(g: Graph, fld) -> BettiTable:
-    """Exact graded Betti table of the edge ideal of g over GF(p).
-
-    Hochster's formula, read on the Alexander dual of each edge-complement
-    complex (the independence complex): beta_{j,d} is the sum over d-subsets
-    W of dim H~_{d-j-1}(Ind(G[W])), where W leaving a vertex isolated gives
-    a cone and adds nothing.  Ind of a disjoint union is the join of the
-    parts' Ind complexes, so the sum is taken by a recursion on vertex sets
-    A, memoized within the call.  With v the lowest vertex of A, either v
-    is not in W, or v lies in a component C of G[W] with at least two
-    vertices and the rest of W lies inside A - N[C]; Ind(G[W]) is then
-    Ind(G[C]) joined with Ind of the rest.  Every connected C is reduced
-    once per call, after folding away every dominated vertex, and a C whose
-    Ind is contractible adds nothing, so its A - N[C] is never visited.
-    Vertices are relabelled in BFS order, so v's neighbours come soon after
-    it; on `dumbbell:4,4,4` and `dumbbell:3,4,5` that meets 40-55% fewer
-    connected sets than the label order does.
-    """
-    p = prime_modulus(fld)
-    n = g.nvertices
-    if n > MAX_BETTI_VERTICES:
-        raise ResourceLimitError(
-            f"Betti table limited to {MAX_BETTI_VERTICES} vertices, got {n}",
-            stage="betti_table")
-    nbr = _bfs_neighbour_masks(g)
-
-    # series[A]: (|W|, degree) -> sum of dim H~_degree(Ind(G[W])) over every
-    # W inside A that leaves no vertex isolated, W empty included
+def _hochster_series(nbr: list[int], moduli: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """(|W|, degree) -> sum of dim H~_degree(Ind(G[W])) over every vertex
+    set W that leaves no vertex isolated, W empty included, over every
+    GF(p) with p in `moduli`; raises _FieldsDiffer where two fields give a
+    core different homology.  See `betti_tables` for the recursion."""
+    # series[A]: the same sum over the W inside the vertex set A
     component_homology: dict[int, dict[int, int]] = {}
     series: dict[int, dict[tuple[int, int], int]] = {0: {(0, -1): 1}}
 
@@ -460,7 +457,7 @@ def betti_table(g: Graph, fld) -> BettiTable:
             part = component_homology.get(comp)
             if part is None:
                 part = component_homology[comp] = _independence_homology(
-                    comp, nbr, p, component_homology)
+                    comp, nbr, moduli, component_homology)
             if not part:
                 continue
             size = comp.bit_count()
@@ -471,22 +468,100 @@ def betti_table(g: Graph, fld) -> BettiTable:
         series[mask] = out
         return out
 
-    root = sums((1 << n) - 1)
-    del sums  # the closure refers to itself: let the memos go with the call
-    entries: dict[tuple[int, int], int] = {}
-    for (d, k), dim in root.items():
-        if d:
-            entries[(d - k - 1, d)] = dim
-
-    table = BettiTable(entries)
-    if g.nedges and table.get(1, 2) != g.nedges:
-        raise AssertionError(
-            f"Betti sanity check failed: entry (1,2)={table.get(1, 2)} != |E|={g.nedges}")
-    return table
+    try:
+        return sums((1 << len(nbr)) - 1)
+    finally:
+        del sums  # the closure refers to itself: let the memos go with the call
 
 
-def projective_dimension(g: Graph, fld) -> int:
+def betti_tables(g: Graph, fields) -> tuple[BettiTable, ...]:
+    """Exact graded Betti tables of the edge ideal of g, one over each
+    GF(p) with p in `fields`, in that order.
+
+    Hochster's formula, read on the Alexander dual of each edge-complement
+    complex (the independence complex): beta_{j,d} is the sum over d-subsets
+    W of dim H~_{d-j-1}(Ind(G[W])), where W leaving a vertex isolated gives
+    a cone and adds nothing.  Ind of a disjoint union is the join of the
+    parts' Ind complexes, so the sum is taken by a recursion on vertex sets
+    A, memoized within the call.  With v the lowest vertex of A, either v
+    is not in W, or v lies in a component C of G[W] with at least two
+    vertices and the rest of W lies inside A - N[C]; Ind(G[W]) is then
+    Ind(G[C]) joined with Ind of the rest.  Every connected C is reduced
+    once per call, after folding away every dominated vertex, and a C whose
+    Ind is contractible adds nothing, so its A - N[C] is never visited.
+    Vertices are relabelled in BFS order, so v's neighbours come soon after
+    it; on `dumbbell:4,4,4` and `dumbbell:3,4,5` that meets 40-55% fewer
+    connected sets than the label order does.
+
+    None of that depends on the field but the homology of the cores whose
+    faces are built, so one pass serves every field: each core's faces are
+    reduced over each field, and while they all agree the series is the
+    same for every field.  The first core where two fields differ (torsion,
+    as in a flag RP^2) stops the pass, and the recursion runs once per
+    field instead.
+    """
+    moduli = tuple(map(prime_modulus, fields))
+    if not moduli:
+        raise ValueError("Betti tables need at least one field")
+    n = g.nvertices
+    if n > MAX_BETTI_VERTICES:
+        raise ResourceLimitError(
+            f"Betti table limited to {MAX_BETTI_VERTICES} vertices, got {n}",
+            stage="betti_table")
+    nbr = _bfs_neighbour_masks(g)
+    try:
+        roots = [_hochster_series(nbr, moduli)] * len(moduli)
+    except _FieldsDiffer:
+        roots = [_hochster_series(nbr, (p,)) for p in moduli]
+
+    tables = []
+    for root in roots:
+        table = BettiTable({(d - k - 1, d): dim for (d, k), dim in root.items() if d})
+        if g.nedges and table.get(1, 2) != g.nedges:
+            raise AssertionError(
+                f"Betti sanity check failed: entry (1,2)={table.get(1, 2)} != |E|={g.nedges}")
+        tables.append(table)
+    return tuple(tables)
+
+
+class Hochster:
+    """The Betti tables of the edge ideal of `graph` over each GF(p) with p
+    in `moduli`, for `betti_table(graph, p, setup=...)` to hand out: the
+    first call computes every table in one `betti_tables` pass, and each
+    call takes its field's table out, so the last leaves nothing behind."""
+
+    __slots__ = ("graph", "moduli", "tables")
+
+    def __init__(self, graph: Graph, moduli: tuple[int, ...]):
+        self.graph = graph
+        self.moduli = moduli
+        self.tables: dict[int, BettiTable] | None = None  # None until the pass
+
+    def take(self, g: Graph, p: int) -> BettiTable:
+        """The table over GF(p) of g, which must be the set-up's graph."""
+        if g != self.graph:
+            raise ValueError("the set-up was built for another graph")
+        if self.tables is None:
+            self.tables = dict(zip(self.moduli, betti_tables(self.graph, self.moduli)))
+        table = self.tables.pop(p, None)
+        if table is None:
+            raise ValueError(f"no table over GF({p}) is left among {list(self.moduli)}")
+        return table
+
+
+def betti_table(g: Graph, fld, *, setup: Hochster | None = None) -> BettiTable:
+    """Exact graded Betti table of the edge ideal of g over GF(p): the
+    one-field case of `betti_tables`.  `setup`, if given, is the `Hochster`
+    set-up of g for the fields of one certification, and the table is taken
+    from it."""
+    p = prime_modulus(fld)
+    if setup is None:
+        return betti_tables(g, (p,))[0]
+    return setup.take(g, p)
+
+
+def projective_dimension(g: Graph, fld, *, setup: Hochster | None = None) -> int:
     """Top homological index of the Betti table of the edge ideal of g."""
     if g.nedges == 0:
         raise DomainError("projective dimension of an edgeless graph is undefined")
-    return betti_table(g, fld).max_index
+    return betti_table(g, fld, setup=setup).max_index

@@ -9,8 +9,9 @@ here are safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+from .records import FrozenRecord
 
 Mono = tuple[int, ...]
 
@@ -72,14 +73,13 @@ def prime_modulus(value) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(FrozenRecord):
     """GF(p) for a machine-word sized prime p; elements are ints in [0, p)."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", prime_modulus(self.p))
+    def __init__(self, p: int):
+        object.__setattr__(self, "p", prime_modulus(p))
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -251,12 +251,24 @@ class PolyRing:
         return Polynomial(self, dict(poly.terms))
 
 
+def _coefficient(c) -> int:
+    """A coefficient read with operator.index, as `prime_modulus` reads a
+    field: 2.5, "3" and True are refused with ValueError, not truncated."""
+    if not isinstance(c, bool):
+        try:
+            return operator.index(c)
+        except TypeError:
+            pass
+    raise ValueError(f"coefficients must be integers, got {c!r}")
+
+
 class Polynomial:
     """Immutable polynomial over a PolyRing.
 
     Terms are (monomial, coefficient) pairs, coefficients nonzero in [1, p),
     sorted strictly descending in grevlex order; the zero polynomial is the
-    empty term tuple.
+    empty term tuple.  Coefficients are given as integers (see
+    `_coefficient`) and read mod p.
     """
 
     __slots__ = ("ring", "terms")
@@ -270,6 +282,8 @@ class Polynomial:
                 raise DimensionError(f"monomial {m} in {nv}-variable ring")
             if not all(type(e) is int for e in m) or min(m, default=0) < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {m}")
+            if type(c) is not int:
+                c = _coefficient(c)
             c %= p
             if c:
                 clean[m] = c
@@ -363,10 +377,12 @@ class Polynomial:
         return Polynomial(self.ring, acc)
 
     def mul_term(self, coeff: int, mono: Mono) -> "Polynomial":
+        coeff = _coefficient(coeff)
         return Polynomial(self.ring,
                           {mono_mul(m, mono): c * coeff for m, c in self.terms})
 
     def scale(self, coeff: int) -> "Polynomial":
+        coeff = _coefficient(coeff)
         return Polynomial(self.ring, {m: c * coeff for m, c in self.terms})
 
     # -- rendering
@@ -398,16 +414,13 @@ def poly_to_json(poly: Polynomial) -> dict:
     return {"terms": [{"c": c, "e": list(m)} for m, c in poly.terms]}
 
 
-def _json_coefficient(c) -> int:
-    """A coefficient read with operator.index, as `prime_modulus` reads a
-    field: 2.5, "3" and True are refused with ValueError, not truncated."""
-    if not isinstance(c, bool):
-        try:
-            return operator.index(c)
-        except TypeError:
-            pass
-    raise ValueError(f"coefficients must be integers, got {c!r}")
-
-
 def poly_from_json(ring: PolyRing, obj: Mapping) -> Polynomial:
-    return ring.poly({tuple(t["e"]): _json_coefficient(t["c"]) for t in obj["terms"]})
+    """The polynomial of `poly_to_json`'s format; two terms with one exponent
+    vector are refused, not summed or overwritten."""
+    terms = {}
+    for t in obj["terms"]:
+        mono = tuple(t["e"])
+        if mono in terms:
+            raise ValueError(f"two terms with exponents {list(mono)}")
+        terms[mono] = t["c"]
+    return ring.poly(terms)

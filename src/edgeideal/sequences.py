@@ -24,12 +24,12 @@ edge set exactly and its length must match the closed-form value.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .formulas import pd_cycle, pd_for_spec
 from .graphs import FamilySpec, Graph, build, ring_of
 from .polyalg import Mono, Polynomial, PolyRing, mono_divides, poly_to_json
+from .records import FrozenRecord, Record
 
 DEFAULT_SEQUENCE_MODULUS = 32003
 
@@ -44,19 +44,20 @@ class TemplateError(RuntimeError):
     """A case-table layout failed its build-time checks."""
 
 
-@dataclass
-class GeneratorSequence:
+class GeneratorSequence(Record):
     """Ordered radical generators for the edge ideal of `graph`."""
 
-    graph: Graph
-    spec: FamilySpec
-    case_tag: str
-    polys: tuple[Polynomial, ...]
-    claimed_length: int
+    __slots__ = ("graph", "spec", "case_tag", "polys", "claimed_length")
 
-    def __post_init__(self):
-        if self.claimed_length != len(self.polys):
+    def __init__(self, graph: Graph, spec: FamilySpec, case_tag: str,
+                 polys: tuple[Polynomial, ...], claimed_length: int):
+        if claimed_length != len(polys):
             raise ValueError("claimed_length must equal the number of polynomials")
+        self.graph = graph
+        self.spec = spec
+        self.case_tag = case_tag
+        self.polys = polys
+        self.claimed_length = claimed_length
 
     @property
     def ring(self) -> PolyRing:
@@ -286,8 +287,7 @@ def sequence_for(spec: FamilySpec, modulus: int = DEFAULT_SEQUENCE_MODULUS) -> G
 
 # -- Schmitt-Vogel partitions ------------------------------------------------------
 
-@dataclass
-class SVPartition:
+class SVPartition(Record):
     """Ordered parts P_0..P_r of monomials with per-monomial exponents.
 
     The part sums generate the target monomial set up to radical whenever the
@@ -296,19 +296,25 @@ class SVPartition:
     member of an earlier part.
     """
 
-    ring: PolyRing
-    parts: tuple[tuple[Mono, ...], ...]
-    target: frozenset
-    exponents: dict = field(default_factory=dict)
+    __slots__ = ("ring", "parts", "target", "exponents")
+
+    def __init__(self, ring: PolyRing, parts: tuple[tuple[Mono, ...], ...],
+                 target: frozenset, exponents: dict | None = None):
+        self.ring = ring
+        self.parts = parts
+        self.target = target
+        self.exponents = {} if exponents is None else exponents
 
     def exponent(self, mono: Mono) -> int:
         return self.exponents.get(mono, 1)
 
 
-@dataclass(frozen=True)
-class SVCheckResult:
-    ok: bool
-    violations: tuple[str, ...] = ()
+class SVCheckResult(FrozenRecord):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...] = ()):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
     def __bool__(self):
         return self.ok

@@ -10,13 +10,14 @@ first field's call of `verify_reverse` adds the sequence to it once for
 all of them and runs each edge's test once, over Z/N with N the product of
 the primes, every later field's call takes its own counts and answers from
 those runs, and each call lets its field's state go, the last one the
-runs too.
+runs too.  Homology goes the same way: one `homcomplex.Hochster` set-up of
+the graph, whose first `projective_dimension` call computes the Betti
+tables of every field in one pass, each call taking its own.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .errors import ResourceLimitError, UsageError
 from .formulas import pd_for_spec
@@ -27,16 +28,16 @@ from .groebner import (
     radical_membership,
     spair_budget_default,
 )
-from .homcomplex import projective_dimension
+from .homcomplex import Hochster, projective_dimension
 from .polyalg import mono_divides, prime_modulus
+from .records import Record
 from .sequences import GeneratorSequence, sequence_for
 
 DEFAULT_FIELDS = (2, 32003)
 DEFAULT_HOMOLOGY_MAX_VERTICES = 16
 
 
-@dataclass(slots=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Full certification record for one graph instance.
 
     verdict is "pass" exactly when every inclusion bit is true over every
@@ -46,15 +47,22 @@ class VerificationReport:
     its `forward` and `reverse` are empty and `sequence_length` is None.
     """
 
-    graph_spec: str
-    fields: tuple[int, ...]
-    forward: tuple[bool, ...]
-    reverse: tuple[tuple[str, bool], ...]
-    sequence_length: int | None
-    pd_formula: int
-    pd_homology: int | None
-    verdict: str
-    stats: dict = field(default_factory=dict)
+    __slots__ = ("graph_spec", "fields", "forward", "reverse", "sequence_length",
+                 "pd_formula", "pd_homology", "verdict", "stats")
+
+    def __init__(self, graph_spec: str, fields: tuple[int, ...], forward: tuple[bool, ...],
+                 reverse: tuple[tuple[str, bool], ...], sequence_length: int | None,
+                 pd_formula: int, pd_homology: int | None, verdict: str,
+                 stats: dict | None = None):
+        self.graph_spec = graph_spec
+        self.fields = fields
+        self.forward = forward
+        self.reverse = reverse
+        self.sequence_length = sequence_length
+        self.pd_formula = pd_formula
+        self.pd_homology = pd_homology
+        self.verdict = verdict
+        self.stats = {} if stats is None else stats
 
     @property
     def passed(self) -> bool:
@@ -191,8 +199,11 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
     # its value counts only when every field gives the same one
     pd_by_field: dict[str, int] = {}
     if length is None or graph.nvertices <= homology_max_vertices:
+        # the first field's call runs one Hochster pass for every field,
+        # and each call takes its own table out of the set-up
+        hochster = Hochster(graph, moduli)
         for p in moduli:
-            pd_by_field[str(p)] = projective_dimension(graph, p)
+            pd_by_field[str(p)] = projective_dimension(graph, p, setup=hochster)
     values = set(pd_by_field.values())
     pd_homology = values.pop() if len(values) == 1 else None
     verdict = _verdict(forward, reverse_ok, length, formula.value, pd_homology, len(values) < 2)

@@ -13,8 +13,10 @@ from edgeideal.errors import ResourceLimitError
 from edgeideal.graphs import Graph, build, build_from_string, enumerate_specs
 from edgeideal.homcomplex import (
     DomainError,
+    Hochster,
     SimplicialComplex,
     betti_table,
+    betti_tables,
     epsilon_complex,
     projective_dimension,
     reduced_homology_dims,
@@ -162,8 +164,8 @@ def test_folding_keeps_independence_homology(p):
         full = (1 << len(nbr)) - 1
         partly_folded += homcomplex._fold(full, nbr) not in (0, full)
         for mask in (full, rng.randrange(1, full + 1)):
-            assert homcomplex._independence_homology(mask, nbr, p) == \
-                homcomplex._independence_homology_unfolded(mask, nbr, p), (nbr, mask)
+            assert homcomplex._independence_homology(mask, nbr, (p,)) == \
+                homcomplex._independence_homology_unfolded(mask, nbr, (p,)), (nbr, mask)
     assert partly_folded > 50
 
 
@@ -172,8 +174,8 @@ def test_folding_keeps_the_rp2_characteristic_dependence():
     full = (1 << len(nbr)) - 1
     assert homcomplex._fold(full, nbr).bit_count() == len(nbr) - 6
     for p, expected in ((2, {1: 1, 2: 1}), (3, {}), (32003, {})):
-        assert homcomplex._independence_homology_unfolded(full, nbr, p) == expected
-        assert homcomplex._independence_homology(full, nbr, p) == expected
+        assert homcomplex._independence_homology_unfolded(full, nbr, (p,)) == expected
+        assert homcomplex._independence_homology(full, nbr, (p,)) == expected
 
 
 def graph_of(nbr):
@@ -208,9 +210,9 @@ def faces_built_for(monkeypatch):
     sizes = []
     unfolded = homcomplex._independence_homology_unfolded
 
-    def spy(mask, nbr, p):
+    def spy(mask, nbr, moduli):
         sizes.append(mask.bit_count())
-        return unfolded(mask, nbr, p)
+        return unfolded(mask, nbr, moduli)
 
     monkeypatch.setattr(homcomplex, "_independence_homology_unfolded", spy)
     return sizes
@@ -244,20 +246,20 @@ def test_contracting_chains_keeps_independence_homology(p, faces_built_for):
     for nbr in graphs:
         full = (1 << len(nbr)) - 1
         faces_built_for.clear()
-        got = homcomplex._independence_homology(full, nbr, p)
+        got = homcomplex._independence_homology(full, nbr, (p,))
         # without a contraction, faces are built for every folded vertex
         contracted += sum(faces_built_for) < homcomplex._fold(full, nbr).bit_count()
-        assert got == homcomplex._independence_homology_unfolded(full, nbr, p), nbr
+        assert got == homcomplex._independence_homology_unfolded(full, nbr, (p,)), nbr
         mask = rng.randrange(1, full + 1)
-        assert homcomplex._independence_homology(mask, nbr, p) == \
-            homcomplex._independence_homology_unfolded(mask, nbr, p), (nbr, mask)
+        assert homcomplex._independence_homology(mask, nbr, (p,)) == \
+            homcomplex._independence_homology_unfolded(mask, nbr, (p,)), (nbr, mask)
     assert contracted > 40
 
 
 @pytest.mark.parametrize("p", (2, 32003))
 def test_cycles_match_kozlovs_homotopy_type(p, faces_built_for):
     for n in range(3, 61):
-        assert homcomplex._independence_homology((1 << n) - 1, cycle_neighbour_masks(n), p) \
+        assert homcomplex._independence_homology((1 << n) - 1, cycle_neighbour_masks(n), (p,)) \
             == kozlov_cycle_homology(n), n
     # contraction leaves a triangle, a 4-cycle that folds to an edge, or an edge
     assert max(faces_built_for) <= 3
@@ -276,9 +278,9 @@ def test_contraction_keeps_the_rp2_torsion(faces_built_for):
     assert homcomplex._fold(full, nbr) == full
     for p, expected in ((2, {2: 1, 3: 1}), (3, {}), (32003, {})):
         faces_built_for.clear()
-        assert homcomplex._independence_homology(full, nbr, p) == expected
+        assert homcomplex._independence_homology(full, nbr, (p,)) == expected
         assert faces_built_for == [n]
-        assert homcomplex._independence_homology_unfolded(full, nbr, p) == expected
+        assert homcomplex._independence_homology_unfolded(full, nbr, (p,)) == expected
 
 
 def test_betti_table_matches_the_hochster_sum_over_every_subset():
@@ -299,6 +301,50 @@ def test_rp2_betti_tables_match_the_hochster_sum():
     assert tables[2] != tables[3]
     for p, table in tables.items():
         assert table == hochster_betti(nbr, p), p
+
+
+def test_one_pass_for_several_fields_matches_the_hochster_sum():
+    rng = random.Random("hochster/joint")
+    for _ in range(120):
+        nbr = random_neighbour_masks(rng, 9)
+        tables = betti_tables(graph_of(nbr), (2, 3))
+        assert [t.entries for t in tables] == [hochster_betti(nbr, p) for p in (2, 3)], nbr
+
+
+def test_rp2_goes_through_the_joint_call_one_pass_per_field(monkeypatch):
+    # GF(2) and GF(3) differ on a core, so the joint pass stops there and
+    # the recursion runs once per field
+    passes = []
+    series = homcomplex._hochster_series
+
+    def spy(nbr, moduli):
+        passes.append(moduli)
+        return series(nbr, moduli)
+
+    monkeypatch.setattr(homcomplex, "_hochster_series", spy)
+    nbr = rp2_small_flag_neighbour_masks()
+    tables = [t.entries for t in betti_tables(graph_of(nbr), MODULI)]
+    assert passes == [MODULI, (2,), (3,), (32003,)]
+    assert tables[0] != tables[1] == tables[2]
+    assert tables == [hochster_betti(nbr, p) for p in MODULI]
+    passes.clear()
+    assert betti_tables(build_from_string("bicyclic:4,5"), MODULI)[1].entries == \
+        betti_table(build_from_string("bicyclic:4,5"), 3).entries
+    assert passes == [MODULI, (3,)]
+
+
+def test_hochster_set_up_hands_each_field_its_table_once():
+    g = build_from_string("dumbbell:3,1,4")
+    setup = Hochster(g, (2, 32003))
+    assert betti_table(g, 32003, setup=setup) == betti_table(g, 32003)
+    assert projective_dimension(g, 2, setup=setup) == projective_dimension(g, 2)
+    assert setup.tables == {}
+    with pytest.raises(ValueError, match="no table over GF\\(2\\)"):
+        betti_table(g, 2, setup=setup)
+    with pytest.raises(ValueError, match="another graph"):
+        betti_table(build_from_string("cycle:5"), 2, setup=Hochster(g, (2,)))
+    with pytest.raises(ValueError, match="no table over GF\\(3\\)"):
+        betti_table(g, 3, setup=Hochster(g, (2,)))
 
 
 def test_vertex_count_limit():
@@ -482,3 +528,13 @@ def test_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # both cost every run start-up time and memory (inspect brings ast, dis
+    # and tokenize); the value classes are plain __slots__ classes
+    code = "import sys, edgeideal; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(Path(homcomplex.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -270,3 +270,35 @@ def test_json_coefficients_must_be_integers(coeff):
     with pytest.raises(ValueError, match="coefficients must be integers"):
         poly_from_json(R, {"terms": [{"c": coeff, "e": [1]}]})
     assert poly_from_json(R, {"terms": [{"c": 7, "e": [1]}]}) == R.term(2, (1,))
+
+
+@pytest.mark.parametrize("coeff", [2.5, 7.9, 2.0, "3", True, False, None])
+def test_polynomial_coefficients_must_be_integers(coeff):
+    # every constructor reads coefficients as poly_from_json does: 2.5 is
+    # not kept over GF(5), and True is not 1
+    R = PolyRing(5, ["x"])
+    x = R.term(1, (1,))
+    for build in (lambda: R.poly({(1,): coeff}), lambda: R.term(coeff, (1,)),
+                  lambda: R.constant(coeff), lambda: x.scale(coeff),
+                  lambda: x.mul_term(coeff, (1,))):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            build()
+
+
+def test_polynomial_coefficients_are_read_with_index():
+    class Index:
+        def __index__(self):
+            return 7
+
+    R = PolyRing(5, ["x"])
+    f = R.poly({(1,): Index()})
+    assert f == R.term(2, (1,)) and type(f.terms[0][1]) is int
+
+
+def test_json_refuses_two_terms_with_one_exponent_vector():
+    # [x, x] once read as x: the second term overwrote the first
+    R = PolyRing(5, ["x"])
+    with pytest.raises(ValueError, match=r"two terms with exponents \[1\]"):
+        poly_from_json(R, {"terms": [{"c": 1, "e": [1]}, {"c": 1, "e": [1]}]})
+    assert poly_from_json(R, {"terms": [{"c": 1, "e": [1]}, {"c": 1, "e": [0]}]}) == \
+        R.term(1, (1,)) + R.one()

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from edgeideal import groebner, verify
+from edgeideal import groebner, homcomplex, verify
 from edgeideal.errors import ResourceLimitError, UsageError
-from edgeideal.graphs import build_from_string, enumerate_specs, parse_spec, ring_of
+from edgeideal.graphs import build, build_from_string, enumerate_specs, parse_spec, ring_of
 from edgeideal.groebner import Rabinowitsch, buchberger
 from edgeideal.sequences import GeneratorSequence, cycle_sequence
 from edgeideal.verify import (
@@ -125,7 +125,7 @@ def test_certify_line_is_homology_only():
 
 
 def test_certify_line_fails_when_homology_disagrees(monkeypatch):
-    monkeypatch.setattr(verify, "projective_dimension", lambda g, p: 2)
+    monkeypatch.setattr(verify, "projective_dimension", lambda g, p, setup: 2)
     assert certify("line:5", (2,)).verdict == "fail"
 
 
@@ -150,8 +150,11 @@ def test_certify_keeps_the_call_contract_the_tracer_reads(spec, monkeypatch):
     # perfbench/tracing.py patches these names and reads their arguments:
     # verify_reverse gets an int modulus, radical_membership gets the edge
     # polynomial first, once per edge and field, and each of its runs is
-    # one groebner.buchberger call on a list whose first element has the field
-    calls = {"verify_reverse": [], "radical_membership": [], "buchberger": []}
+    # one groebner.buchberger call on a list whose first element has the
+    # field; projective_dimension and betti_table get the graph and an int
+    # field, once per field in the order of the moduli
+    calls = {"verify_reverse": [], "radical_membership": [], "buchberger": [],
+             "projective_dimension": [], "betti_table": []}
 
     def recorded(module, name, result_of):
         fn = getattr(module, name)
@@ -166,6 +169,8 @@ def test_certify_keeps_the_call_contract_the_tracer_reads(spec, monkeypatch):
     recorded(verify, "radical_membership", lambda args, out: args[0])
     recorded(groebner, "buchberger",
              lambda args, out: (args[0][0].ring.modulus, out.spairs_processed))
+    recorded(verify, "projective_dimension", lambda args, out: args[1])
+    recorded(homcomplex, "betti_table", lambda args, out: args[1])
     report = certify(spec, (2, 32003))
     assert report.passed
     graph = build_from_string(spec)
@@ -177,6 +182,17 @@ def test_certify_keeps_the_call_contract_the_tracer_reads(spec, monkeypatch):
     assert [p for p, _ in calls["buchberger"]] == [p for p, _ in per_edge]
     assert len(calls["buchberger"]) == report.stats["groebner_runs"]
     assert sum(n for _, n in calls["buchberger"]) == report.stats["s_pairs"]
+    assert calls["projective_dimension"] == calls["betti_table"] == [2, 32003]
+    assert all(type(p) is int for p in calls["projective_dimension"] + calls["betti_table"])
+
+
+def test_certify_over_three_fields_matches_the_one_field_tables():
+    fields = (2, 3, 32003)
+    for spec in enumerate_specs(("cycle", "line", "bicyclic", "dumbbell"), 10):
+        graph = build(spec)
+        report = certify(spec, fields)
+        assert report.stats["pd_homology_by_field"] == {
+            str(p): homcomplex.betti_table(graph, p).max_index for p in fields}, str(spec)
 
 
 class _Index:
