@@ -67,11 +67,18 @@ class Graph(FrozenRecord):
     def index(self, label: str) -> int:
         return self._index[label]
 
+    def _known(self, *labels: str):
+        for label in labels:
+            if label not in self._index:
+                raise ConstructionError(f"unknown vertex {label!r}")
+
     def has_edge(self, u: str, v: str) -> bool:
+        self._known(u, v)
         a, b = sorted((u, v), key=self._index.__getitem__)
         return (a, b) in set(self.edges)
 
     def neighbors(self, label: str) -> tuple[str, ...]:
+        self._known(label)
         out = []
         for u, v in self.edges:
             if u == label:

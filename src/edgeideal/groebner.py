@@ -64,8 +64,9 @@ remainder's leading coefficient is 0 in some lane, and that is exactly
 where its inverse mod N does not exist.  (A product of two nonzero
 coefficients can be 0 mod N: it is a term no lane has.)  So `_monic`
 inverts with pow(lc, -1, N) and raises `_Split` when it cannot, and only
-then does a field run on its own.  A basis is projected to GF(p) by
-reducing every coefficient mod p and dropping the terms that become 0.
+then, or where a stored run went past a later call's budget, is a field's
+run made from scratch.  A basis is projected to GF(p) by reducing every
+coefficient mod p and dropping the terms that become 0.
 This is Traverso's trace idea (Groebner trace algorithms, ISSAC 1988) and
 Arnold's lucky primes (J. Symb. Comput. 35 (2003)) the other way round:
 every step is checked, so no prime has to be trusted to be lucky.
@@ -474,9 +475,10 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
 
     `resume`, if given, is a `Rabinowitsch` set-up whose generators, lifted
     into the field of `generators`, are exactly `generators[:-1]` (checked,
-    not trusted); the run resumes from its state and adds only the last
-    generator.  Its pairs, basis, count and budget cut-off are those of a
-    run from scratch.
+    not trusted); the run is read from its run over Z/N, which resumes from
+    its state and adds only the last generator, with the pairs, basis, count
+    and budget cut-off of a run from scratch.  Where the set-up has no such
+    run, the run is made from scratch.
     """
     if not generators:
         raise DegenerateInputError("empty generator list")
@@ -484,9 +486,10 @@ def buchberger(generators: Sequence[Polynomial], spair_budget: int | None = None
     ring = generators[0].ring
     for g in generators[1:]:
         generators[0]._check_ring(g)
-    if resume is None:
-        return _basis(ring, _Run.saved(ring, [g.terms for g in generators]).finish(budget))
-    return resume.resume(generators, budget)
+    outcome = None if resume is None else resume.outcome(generators, budget)
+    if outcome is None:
+        outcome = _Run.saved(ring, [g.terms for g in generators]).finish(budget)
+    return _basis(ring, outcome)
 
 
 def _reduce_basis(divisors: list[tuple], guards: int, p: int) -> list[dict[int, int]]:
@@ -509,17 +512,15 @@ class Rabinowitsch:
     for each field GF(p) with p in `moduli` (by default the generators' own
     field): the field's ring extended by one auxiliary variable t (appended
     last, hence lowest priority), the generators lifted into it, their
-    coefficients read mod p, and the runs that `buchberger` resumes.
+    coefficients read mod p, and the runs that `buchberger` reads.
 
-    A field's lifts are built the first time it asks.  The state after the
-    generators lifted mod N, N the product of the moduli, is built the first
-    time a run is asked for, and each f's run from it is stored with its
-    count and basis for every field to read.  A field runs on its own, from
-    its own state, only where that run split, or once the state over Z/N is
-    gone.  `done(p)` lets field p's lifts and own state go, and after the
-    last of `moduli` the state over Z/N and the stored runs too."""
+    It is a cache that releases nothing, so repeated and reordered requests
+    get the same answers: a field's lifts are built the first time it asks,
+    the state after the generators lifted mod N, N the product of the
+    moduli, the first time a run is asked for, and each f's run from it is
+    stored with its count and basis for every field to read."""
 
-    __slots__ = ("generators", "moduli", "lifts", "alone", "start", "runs", "built")
+    __slots__ = ("generators", "moduli", "lifts", "start", "runs", "built")
 
     def __init__(self, generators: Sequence[Polynomial], moduli: Sequence[int] | None = None):
         if not generators:
@@ -527,7 +528,6 @@ class Rabinowitsch:
         self.generators = generators
         self.moduli = (generators[0].ring.modulus,) if moduli is None else moduli
         self.lifts: dict[int, tuple[PolyRing, list[Polynomial]]] = {}  # p: (ring, lifts)
-        self.alone: dict[int, _Run] = {}  # p: the field's own state after its lifts
         self.runs: dict[tuple, tuple | None] | None = None  # None until `start` is built
         self.built: tuple | None = None  # the last input `system` built, and its lift mod N
 
@@ -573,26 +573,17 @@ class Rabinowitsch:
         self.built = last, tuple((m, n - c) for m, c in tf) + one
         return [*lifted, last]
 
-    def resume(self, generators: Sequence[Polynomial], budget: int) -> GroebnerBasis:
-        """The reduced basis of the run that adds the last of `generators`,
-        the others being the generators lifted into its field.  A last
+    def outcome(self, generators: Sequence[Polynomial], budget: int) -> tuple | None:
+        """The stored outcome of the run over Z/N that adds the last of
+        `generators`, the others being the generators lifted into its field
+        (checked), made now under `budget` if it is new, which raises
+        ResourceLimitError at the budget's cut-off.  None where it or the
+        state split, or where it processed more pairs than `budget`.  A last
         input that `system` did not build is read mod N as it stands."""
-        ext, last = generators[0].ring, generators[-1]
-        p = ext.modulus
+        last = generators[-1]
+        p = last.ring.modulus
         if p not in self.moduli or list(generators[:-1]) != self._field(p)[1]:
             raise ValueError("the saved run state was not built from generators[:-1]")
-        outcome = self._run(self.built[1] if self.built and self.built[0] is last else last.terms,
-                            budget)
-        if outcome is None:
-            if p not in self.alone:
-                self.alone[p] = _Run.saved(ext, [g.terms for g in generators[:-1]])
-            outcome = self.alone[p].then(last.terms).finish(budget)
-        return _basis(ext, outcome)
-
-    def _run(self, terms: tuple, budget: int) -> tuple | None:
-        """The outcome of the run over Z/N that adds `terms`: stored, or run
-        now under `budget`, which raises ResourceLimitError at that budget's
-        cut-off; None where it split or the state is gone."""
         if self.runs is None:
             self.runs = {}
             n = math.prod(self.moduli)
@@ -600,27 +591,14 @@ class Rabinowitsch:
                 self.start = _Run.saved(self.generators[0].ring.extend(), self._lifted(n), n)
             except _Split:
                 self.start = None
-        outcome = self.runs.get(terms)
-        if self.start is not None and (terms not in self.runs or outcome and outcome[0] > budget):
-            # not run yet, or stored with more pairs than `budget`: run it
-            # under `budget`, which stops at that budget's cut-off
+        terms = self.built[1] if self.built and self.built[0] is last else last.terms
+        if self.start is not None and terms not in self.runs:
             try:
-                outcome = self.start.then(terms).finish(budget)
+                self.runs[terms] = self.start.then(terms).finish(budget)
             except _Split:
-                outcome = None
-            self.runs[terms] = outcome
-        return outcome
-
-    def done(self, p: int):
-        """Field p has run every test it needs: its lifts and own state go,
-        and after the last of `moduli` the state over Z/N and the stored runs
-        too, inside that field's work.  A field asking later runs on its
-        own."""
-        self.lifts.pop(p, None)
-        self.alone.pop(p, None)
-        self.built = None
-        if p == self.moduli[-1]:
-            self.start, self.runs = None, {}
+                self.runs[terms] = None
+        outcome = self.runs.get(terms)
+        return None if outcome is None or outcome[0] > budget else outcome
 
 
 def radical_membership(f: Polynomial, generators: Sequence[Polynomial] | Rabinowitsch,
@@ -633,9 +611,10 @@ def radical_membership(f: Polynomial, generators: Sequence[Polynomial] | Rabinow
     with one Buchberger run.  The certificate is valid over the algebraic
     closure of the coefficient field.  `generators` is a sequence of
     polynomials, or the Rabinowitsch set-up of one, built once and shared by
-    every f tested against it, over every field it serves; the run resumes
-    from the state saved after the generators were added, with the same
-    pairs, basis and count.
+    every f tested against it, over every field it serves, in any order and
+    as often as asked; each f's run over Z/N resumes from the state saved
+    after the generators were added, is made once and is read by every
+    field, with the pairs, basis and count of a run from scratch.
     """
     if f.is_zero:
         raise DegenerateInputError("radical membership of the zero polynomial")

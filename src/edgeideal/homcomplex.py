@@ -27,7 +27,7 @@ Only that last step depends on the field, so `betti_tables` computes the
 tables of several fields in one pass, each core's faces reduced over each
 field, and runs once per field only when two fields give some core
 different homology; `betti_table` is its one-field case, and a `Hochster`
-set-up hands the tables of one pass to one call per field.
+set-up keeps the tables of one pass for the calls of every field.
 
 Homology is computed from boundary-matrix ranks over the chosen prime field:
 one sparse exact reducer for every prime, reduced top-down with clearing.
@@ -441,37 +441,36 @@ def _hochster_series(nbr: list[int], moduli: tuple[int, ...]) -> dict[tuple[int,
     set W that leaves no vertex isolated, W empty included, over every
     GF(p) with p in `moduli`; raises _FieldsDiffer where two fields give a
     core different homology.  See `betti_tables` for the recursion."""
-    # series[A]: the same sum over the W inside the vertex set A
-    component_homology: dict[int, dict[int, int]] = {}
-    series: dict[int, dict[tuple[int, int], int]] = {0: {(0, -1): 1}}
+    return _series((1 << len(nbr)) - 1, nbr, moduli, {0: {(0, -1): 1}}, {})
 
-    def sums(mask: int) -> dict[tuple[int, int], int]:
-        out = series.get(mask)
-        if out is not None:
-            return out
-        low = mask & -mask
-        out = dict(sums(mask ^ low))
-        for comp, closed in _connected_sets(low.bit_length() - 1, mask, nbr):
-            if comp == low:
-                continue
-            part = component_homology.get(comp)
-            if part is None:
-                part = component_homology[comp] = _independence_homology(
-                    comp, nbr, moduli, component_homology)
-            if not part:
-                continue
-            size = comp.bit_count()
-            for (d, k), x in sums(mask & ~closed).items():
-                for i, y in part.items():
-                    key = (d + size, k + i + 1)
-                    out[key] = out.get(key, 0) + x * y
-        series[mask] = out
+
+def _series(mask: int, nbr: list[int], moduli: tuple[int, ...], series: dict,
+            component_homology: dict) -> dict[tuple[int, int], int]:
+    """The sum of `_hochster_series` over the W inside the vertex set
+    `mask`; `series` memoizes it by vertex set, `component_homology` the
+    homology of each connected set."""
+    out = series.get(mask)
+    if out is not None:
         return out
-
-    try:
-        return sums((1 << len(nbr)) - 1)
-    finally:
-        del sums  # the closure refers to itself: let the memos go with the call
+    low = mask & -mask
+    out = dict(_series(mask ^ low, nbr, moduli, series, component_homology))
+    for comp, closed in _connected_sets(low.bit_length() - 1, mask, nbr):
+        if comp == low:
+            continue
+        part = component_homology.get(comp)
+        if part is None:
+            part = component_homology[comp] = _independence_homology(
+                comp, nbr, moduli, component_homology)
+        if not part:
+            continue
+        size = comp.bit_count()
+        for (d, k), x in _series(mask & ~closed, nbr, moduli, series,
+                                 component_homology).items():
+            for i, y in part.items():
+                key = (d + size, k + i + 1)
+                out[key] = out.get(key, 0) + x * y
+    series[mask] = out
+    return out
 
 
 def betti_tables(g: Graph, fields) -> tuple[BettiTable, ...]:
@@ -526,9 +525,9 @@ def betti_tables(g: Graph, fields) -> tuple[BettiTable, ...]:
 
 class Hochster:
     """The Betti tables of the edge ideal of `graph` over each GF(p) with p
-    in `moduli`, for `betti_table(graph, p, setup=...)` to hand out: the
-    first call computes every table in one `betti_tables` pass, and each
-    call takes its field's table out, so the last leaves nothing behind."""
+    in `moduli`, for `betti_table(graph, p, setup=...)` to read: the first
+    call computes every table in one `betti_tables` pass, and every call,
+    repeated or in any order of the fields, reads its field's table."""
 
     __slots__ = ("graph", "moduli", "tables")
 
@@ -541,18 +540,17 @@ class Hochster:
         """The table over GF(p) of g, which must be the set-up's graph."""
         if g != self.graph:
             raise ValueError("the set-up was built for another graph")
+        if p not in self.moduli:
+            raise ValueError(f"no table over GF({p}) among {list(self.moduli)}")
         if self.tables is None:
             self.tables = dict(zip(self.moduli, betti_tables(self.graph, self.moduli)))
-        table = self.tables.pop(p, None)
-        if table is None:
-            raise ValueError(f"no table over GF({p}) is left among {list(self.moduli)}")
-        return table
+        return self.tables[p]
 
 
 def betti_table(g: Graph, fld, *, setup: Hochster | None = None) -> BettiTable:
     """Exact graded Betti table of the edge ideal of g over GF(p): the
     one-field case of `betti_tables`.  `setup`, if given, is the `Hochster`
-    set-up of g for the fields of one certification, and the table is taken
+    set-up of g for the fields of one certification, and the table is read
     from it."""
     p = prime_modulus(fld)
     if setup is None:

@@ -212,6 +212,8 @@ class PolyRing:
 
     def variable(self, which) -> "Polynomial":
         i = which if isinstance(which, int) else self._index[which]
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"variable index {i} out of range for {self.nvars} variables")
         e = [0] * self.nvars
         e[i] = 1
         return self.term(1, tuple(e))

@@ -5,14 +5,14 @@ The forward inclusion (every term of every generator lies in the edge ideal)
 is a termwise divisibility check.  The reverse inclusion is certified one
 edge monomial at a time via radical membership over each requested prime
 field, so a failure is isolated to a specific edge and field.  `certify`
-hands every field one `groebner.Rabinowitsch` set-up of the sequence: the
-first field's call of `verify_reverse` adds the sequence to it once for
-all of them and runs each edge's test once, over Z/N with N the product of
-the primes, every later field's call takes its own counts and answers from
-those runs, and each call lets its field's state go, the last one the
-runs too.  Homology goes the same way: one `homcomplex.Hochster` set-up of
-the graph, whose first `projective_dimension` call computes the Betti
-tables of every field in one pass, each call taking its own.
+hands every field one `groebner.Rabinowitsch` set-up of the sequence, a
+cache that lives as long as the `certify` call: the first field's call of
+`verify_reverse` adds the sequence to it once for all of them and runs
+each edge's test once, over Z/N with N the product of the primes, and
+every later field's call reads its own counts and answers from those runs.
+Homology goes the same way: one `homcomplex.Hochster` set-up of the graph,
+whose first `projective_dimension` call computes the Betti tables of every
+field in one pass, each call reading its own.
 """
 
 from __future__ import annotations
@@ -102,11 +102,10 @@ def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
     generated by the sequence, over GF(modulus).
 
     `setup`, if given, is the `Rabinowitsch` set-up of the sequence for the
-    fields of one certification, called in the order of its moduli: the
-    first call builds its state and runs each edge once for all the fields,
-    each later call takes its results from it, and each call lets its
-    field's state go, the last one the runs too.  By default the call builds
-    a set-up for GF(modulus) alone."""
+    fields of one certification, called for any of its moduli in any order
+    and as often as needed: the first call builds its state and runs each
+    edge once for all the fields, and every later call reads its results
+    from it.  By default the call builds a set-up for GF(modulus) alone."""
     g = g or seq.graph
     ring = ring_of(g, modulus)
     if setup is None:
@@ -122,7 +121,6 @@ def verify_reverse(seq: GeneratorSequence, g: Graph | None = None,
                 f"radical membership of edge {u}*{v} over GF({modulus}): {exc}",
                 stage="verify_reverse",
                 detail={**(exc.detail or {}), "edge": (u, v), "modulus": modulus}) from exc
-    setup.done(ring.modulus)
     return out
 
 
@@ -200,7 +198,7 @@ def certify(spec: FamilySpec | str, fields: tuple[int, ...] = DEFAULT_FIELDS, *,
     pd_by_field: dict[str, int] = {}
     if length is None or graph.nvertices <= homology_max_vertices:
         # the first field's call runs one Hochster pass for every field,
-        # and each call takes its own table out of the set-up
+        # and each call reads its own table from the set-up
         hochster = Hochster(graph, moduli)
         for p in moduli:
             pd_by_field[str(p)] = projective_dimension(graph, p, setup=hochster)

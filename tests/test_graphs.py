@@ -46,6 +46,20 @@ def test_dumbbell_bridge():
     assert g.has_edge("x1", "y1")
 
 
+@pytest.mark.parametrize("query", [
+    lambda g: g.has_edge("x1", "q9"),
+    lambda g: g.has_edge("q9", "x1"),
+    lambda g: g.neighbors("q9"),
+    lambda g: g.degree("q9"),
+])
+def test_unknown_vertex_labels_are_refused(query):
+    g = build_from_string("cycle:4")
+    with pytest.raises(ConstructionError, match="unknown vertex 'q9'"):
+        query(g)
+    assert g.neighbors("x1") == ("x2", "x4") and g.degree("x1") == 2
+    assert g.has_edge("x4", "x1") and not g.has_edge("x1", "x3")
+
+
 @pytest.mark.parametrize("m,k,n", [(3, 0, 3), (3, 2, 4), (5, 1, 4), (4, 3, 3)])
 def test_dumbbell_counts(m, k, n):
     g = build(FamilySpec("dumbbell", (m, k, n)))

@@ -515,7 +515,8 @@ def test_a_saved_state_must_match_the_inputs():
         with pytest.raises(ValueError, match="saved run state"):
             buchberger(bad, resume=setup)
     assert buchberger(list(system), resume=setup) == buchberger(system)
-    assert not setup.alone  # each field's run came from the run over Z/6
+    assert list(setup.runs) == [setup.built[1]]  # read from the run over Z/6
+    assert None not in setup.runs.values()
 
 
 # -- pinned S-pair counts ----------------------------------------------------------------
@@ -592,9 +593,9 @@ def test_joint_runs_match_the_golden(moduli):
     for spec in enumerate_specs(("cycle", "bicyclic", "dumbbell"), 12):
         seq = sequence_for(spec)
         setup, runs = _joint_runs(seq.polys, seq.graph.labels, seq.graph.edges, moduli)
-        # one run over Z/N per edge, none split, and no field ran alone
+        # one run over Z/N per edge, none split, so every field read it
         assert len(setup.runs) == len(seq.graph.edges)
-        assert None not in setup.runs.values() and not setup.alone
+        assert None not in setup.runs.values()
         for p in moduli:
             got = [runs[p, u, v] for u, v in seq.graph.edges]
             assert all(via == alone for via, alone in got)
@@ -614,8 +615,9 @@ def _joint_cutoffs_match(seq, edge, moduli, rng):
     count - 1 once it passes 100), the first field's run through the set-up
     stops where its run from scratch does, with the same detail, and stores
     nothing; from the count on it gives the same basis.  Every later field
-    reads that run, and under count - 1 and a random budget stops where its
-    own run from scratch does."""
+    reads that run, and under count - 1 and a random budget, which the
+    stored run went past, runs from scratch and stops where that run
+    does."""
     setup = Rabinowitsch(seq.polys, moduli)
     for k, p in enumerate(moduli):
         R = ring_of(seq.graph, p)
@@ -633,7 +635,7 @@ def _joint_cutoffs_match(seq, edge, moduli, rng):
         gb = buchberger(setup.system(f), spair_budget=fresh.spairs_processed, resume=setup)
         assert (gb.generators, gb.spairs_processed) == (fresh.generators,
                                                         fresh.spairs_processed)
-    assert len(setup.runs) == 1 and not setup.alone  # no field ran alone
+    assert len(setup.runs) == 1 and None not in setup.runs.values()  # none split
 
 
 @pytest.mark.parametrize("moduli", [(2, 32003), (2, 3, 32003)])
@@ -647,12 +649,12 @@ def test_joint_runs_stop_where_single_field_runs_do(moduli):
 
 def test_a_leading_coefficient_zero_in_one_lane_splits_the_set_up():
     # 3x + y over Z/15: its leading coefficient is 0 mod 3, so every field
-    # runs on its own; GF(3) sees y and GF(5) sees 3x + y
+    # runs from scratch; GF(3) sees y and GF(5) sees 3x + y
     src = PolyRing(32003, ["x", "y", "z"])
     x, y, z = (src.variable(i) for i in range(3))
     polys = [x.scale(3) + y, y * z + x * x]
     setup, runs = _joint_runs(polys, src.names, [("x", "z"), ("y", "z"), ("x", "y")], (3, 5))
-    assert setup.start is None and set(setup.alone) == {3, 5}
+    assert setup.start is None and setup.runs == {}
     assert all(via == alone for via, alone in runs.values())
     assert runs[3, "y", "z"][0][0] != runs[5, "y", "z"][0][0]
 
@@ -660,13 +662,12 @@ def test_a_leading_coefficient_zero_in_one_lane_splits_the_set_up():
 def test_a_run_that_splits_midway_falls_back_to_each_field():
     # 2y^2 + 3yz and x^2y + 3xz add without a split over Z/15, but with
     # 1 - t*xz a remainder's leading coefficient is 0 mod 3 while pairs
-    # are processed: each field then runs on its own
+    # are processed: each field then runs from scratch
     src = PolyRing(32003, ["x", "y", "z"])
     x, y, z = (src.variable(i) for i in range(3))
     polys = [(y * y).scale(2) + (y * z).scale(3), x * x * y + (x * z).scale(3)]
     setup, runs = _joint_runs(polys, src.names, [("x", "z")], (3, 5))
-    assert setup.start is not None and set(setup.alone) == {3, 5}
-    assert list(setup.runs.values()) == [None]
+    assert setup.start is not None and list(setup.runs.values()) == [None]
     assert all(via == alone for via, alone in runs.values())
     assert runs[3, "x", "z"][0] != runs[5, "x", "z"][0]
 
@@ -700,7 +701,7 @@ def test_shared_serves_only_its_fields_and_generators():
     assert len(setup.runs) == 1
     rebuilt = [*system[:-1], system[0].ring.poly(dict(system[-1].terms))]
     assert buchberger(rebuilt, resume=setup) == buchberger(system)
-    assert len(setup.runs) == 2 and not setup.alone
+    assert len(setup.runs) == 2 and None not in setup.runs.values()
 
 
 def test_random_systems_run_jointly_like_each_field():

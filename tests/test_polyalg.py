@@ -213,6 +213,15 @@ def test_monomial_rejects_bad_powers(power):
     assert R.monomial("x", x=0, y=2) == (1, 2)
 
 
+@pytest.mark.parametrize("index", [-1, 2, 7])
+def test_variable_refuses_an_index_out_of_range(index):
+    # a negative index would wrap to a variable from the end
+    R = PolyRing(2, ["x", "y"])
+    with pytest.raises(ValueError, match="out of range"):
+        R.variable(index)
+    assert [R.variable(i).leading_monomial() for i in (0, 1)] == [(1, 0), (0, 1)]
+
+
 def test_field_mismatch_raises():
     a = ring(p=2).one()
     b = ring(p=3).one()

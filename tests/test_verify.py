@@ -7,7 +7,7 @@ import pytest
 from edgeideal import groebner, homcomplex, verify
 from edgeideal.errors import ResourceLimitError, UsageError
 from edgeideal.graphs import build, build_from_string, enumerate_specs, parse_spec, ring_of
-from edgeideal.groebner import Rabinowitsch, buchberger
+from edgeideal.groebner import GroebnerStats, Rabinowitsch
 from edgeideal.sequences import GeneratorSequence, cycle_sequence
 from edgeideal.verify import (
     _verdict,
@@ -279,25 +279,21 @@ def test_certify_over_three_fields_agrees_with_each_field():
         assert joint.stats["groebner_runs"] == sum(r.stats["groebner_runs"] for r in alone)
 
 
-def test_the_last_lane_lets_the_shared_state_go():
-    # each field's verify_reverse in the order of the moduli lets that
-    # field's lifts go; the state over Z/N and the runs live until the last
-    # lane is done, and a field asking after that runs on its own with the
-    # same answers
-    seq = cycle_sequence(5)
-    setup = Rabinowitsch(seq.polys, (2, 3, 32003))
-    for p in (2, 3):
-        assert verify_reverse(seq, modulus=p, setup=setup) == [True] * 5
-        assert not setup.lifts and not setup.alone and setup.built is None
-        assert setup.start is not None and len(setup.runs) == 5
-    setup.done(2)  # only the last lane lets go
-    assert setup.start is not None
-    assert verify_reverse(seq, modulus=32003, setup=setup) == [True] * 5
-    assert setup.start is None and not setup.runs and not setup.lifts
-    R = ring_of(seq.graph, 3)
-    f = R.term(1, R.monomial("x1", "x2"))
-    assert buchberger(setup.system(f), resume=setup).is_unit_ideal
-    assert isinstance(setup.alone[3], groebner._Run) and not setup.runs
+def test_one_set_up_serves_the_fields_in_any_order_and_again():
+    # one set-up sent through verify_reverse in reversed moduli order, and
+    # then again: every call's answers and S-pair counts are those of a
+    # one-field set-up, and each edge ran once over Z/N for all of them
+    moduli = (2, 3, 32003)
+    for seq in (cycle_sequence(5), drop_term(cycle_sequence(5), 2, 0)):
+        setup = Rabinowitsch(seq.polys, moduli)
+        for _ in range(2):
+            for p in reversed(moduli):
+                shared, alone = GroebnerStats(), GroebnerStats()
+                got = verify_reverse(seq, modulus=p, stats=shared, setup=setup)
+                assert got == verify_reverse(seq, modulus=p, stats=alone)
+                assert shared == alone
+        assert len(setup.runs) == 5 and None not in setup.runs.values()
+    assert False in got
 
 
 @pytest.mark.parametrize("spec", ["cycle:6", "bicyclic:4,5", "dumbbell:3,1,4", "line:6"])
